@@ -12,9 +12,13 @@
 //   pool         runtime::prepare_parallel, no memoization
 //   pool+cache   prepare_parallel plus the MappingCache memo table
 //
-// Expected shape: pool scales steps 2–3 with physical cores; pool+cache
-// additionally collapses the repeated step-1 mapping work to shared_ptr
-// copies, which is where the >1.5x win comes from even on small machines.
+// Expected shape: steps 2–3 profile each kernel once (in step 1) and then
+// cost O(distinct cycle patterns) per point, so step-1 mapping and base
+// scheduling dominate every mode. pool spreads that step over at most one
+// task per kernel; pool+cache additionally collapses the repeated rounds'
+// step 1 to shared_ptr copies, which is where the >1.5x win comes from
+// even on small machines. The ratio is smaller than before profiling
+// because the serial baseline lost most of its estimation work too.
 #include <chrono>
 #include <iostream>
 #include <vector>

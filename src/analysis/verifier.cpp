@@ -201,24 +201,19 @@ void validation_pass(const arch::Architecture& a,
   }
 }
 
-/// Structural-replay rules in issue order (cycle asc, op index asc),
-/// message-identical to `sim::SimProgram::compile`'s replay. In full-report
-/// mode (`skip_replay` from a failed validation pass) ops that cannot be
-/// replayed are left out and findings accumulate; in verify mode the emit
-/// callback throws at the first finding, reproducing compile's
-/// stop-at-first-error behaviour exactly.
+/// Structural-replay rules in issue order (cycle asc, op index asc) over
+/// the active cycles of `issues`, message-identical to
+/// `sim::SimProgram::compile`'s replay. In full-report mode the index
+/// leaves out the ops a failed validation pass marked unreplayable and
+/// findings accumulate; in verify mode the emit callback throws at the
+/// first finding, reproducing compile's stop-at-first-error behaviour
+/// exactly. Idle cycles never touch the check state, so skipping them
+/// changes no finding.
 void structural_pass(const arch::Architecture& a,
-                     const std::vector<sched::ScheduledOp>& ops, int length,
-                     const EmitFn& emit,
-                     const std::vector<char>& skip_replay) {
+                     const std::vector<sched::ScheduledOp>& ops,
+                     const sched::IssueIndex& issues, const EmitFn& emit) {
   const arch::ArraySpec& array = a.array;
   const auto n = ops.size();
-  std::vector<std::vector<std::size_t>> by_cycle(
-      static_cast<std::size_t>(std::max(length, 1)));
-  for (std::size_t i = 0; i < n; ++i)
-    if (!skip_replay[i])
-      by_cycle[static_cast<std::size_t>(ops[i].cycle)].push_back(i);
-
   const int total_units = a.sharing.total_units(array);
   std::vector<int> pe_busy_until(static_cast<std::size_t>(array.num_pes()),
                                  0);
@@ -227,14 +222,15 @@ void structural_pass(const arch::Architecture& a,
   std::vector<int> row_writes(static_cast<std::size_t>(array.rows), 0);
   std::vector<char> unit_taken(static_cast<std::size_t>(total_units), 0);
 
-  for (int t = 0; t < length; ++t) {
-    const auto& issues = by_cycle[static_cast<std::size_t>(t)];
-    if (issues.empty()) continue;
+  for (std::size_t c = 0; c < issues.active_cycles.size(); ++c) {
+    const int t = issues.active_cycles[c];
     std::fill(row_reads.begin(), row_reads.end(), 0);
     std::fill(row_writes.begin(), row_writes.end(), 0);
     std::fill(unit_taken.begin(), unit_taken.end(), 0);
 
-    for (const std::size_t i : issues) {
+    for (std::int64_t s = issues.offsets[c]; s < issues.offsets[c + 1]; ++s) {
+      const auto i = static_cast<std::size_t>(
+          issues.order[static_cast<std::size_t>(s)]);
       const sched::ScheduledOp& op = ops[i];
 
       const int pe = array.linear(op.pe);
@@ -433,7 +429,7 @@ LintReport lint_impl(const arch::Architecture& a,
   };
   std::vector<char> skip_replay(ops.size(), 0);
   validation_pass(a, ops, length, pre_construction, collect, skip_replay);
-  structural_pass(a, ops, length, collect, skip_replay);
+  structural_pass(a, ops, sched::build_issue_index(ops, skip_replay), collect);
   warning_pass(a, ops, collect, skip_replay);
   return report;
 }
@@ -466,11 +462,12 @@ void verify_context(const sched::ConfigurationContext& context) {
                   /*pre_construction=*/false, raise, skip_replay);
 }
 
-void verify_structural(const sched::ConfigurationContext& context) {
+sched::IssueIndex verify_structural(
+    const sched::ConfigurationContext& context) {
   const EmitFn raise = [](Finding f) { throw Error(f.message); };
-  const std::vector<char> skip_replay(context.ops().size(), 0);
-  structural_pass(context.architecture(), context.ops(), context.length(),
-                  raise, skip_replay);
+  sched::IssueIndex issues = sched::build_issue_index(context.ops());
+  structural_pass(context.architecture(), context.ops(), issues, raise);
+  return issues;
 }
 
 }  // namespace rsp::analysis

@@ -39,10 +39,11 @@ LintReport lint_context(const sched::ConfigurationContext& context);
 void verify_context(const sched::ConfigurationContext& context);
 
 /// Structural-replay rules (RSP-S*) in issue order (cycle asc, op index
-/// asc); throws rsp::Error with the first violation's message. Call only
-/// after `verify_context` passed — the replay indexes arrays with the
-/// bounds that pass established. This is the check half of
-/// `sim::SimProgram::compile`.
-void verify_structural(const sched::ConfigurationContext& context);
+/// asc); throws rsp::Error with the first violation's message, otherwise
+/// returns the issue index the replay walked. Call only after
+/// `verify_context` passed — the replay indexes arrays with the bounds
+/// that pass established. This is the check half of
+/// `sim::SimProgram::compile`, which executes through the returned index.
+sched::IssueIndex verify_structural(const sched::ConfigurationContext& context);
 
 }  // namespace rsp::analysis

@@ -76,7 +76,9 @@ KernelPrep prepare_kernel(const kernels::Workload& workload) {
   sched::ConfigurationContext base_context =
       scheduler.schedule(program, base);
   sched::require_legal(base_context);
-  return KernelPrep{std::move(program), std::move(base_context)};
+  core::EstimateProfile profile = core::make_estimate_profile(base_context);
+  return KernelPrep{std::move(program), std::move(base_context),
+                    std::move(profile)};
 }
 
 arch::Architecture Explorer::base_architecture() const {
@@ -171,7 +173,7 @@ PreparedExploration Explorer::prepare(
   // Step 1: initial configuration contexts on the base architecture.
   const arch::Architecture base = base_architecture();
   PreparedExploration prep;
-  std::vector<sched::ConfigurationContext> base_contexts;
+  std::vector<core::EstimateProfile> profiles;
   ExplorationResult& result = prep.result;
   for (const kernels::Workload& w : domain) {
     if (w.array != array_)
@@ -180,23 +182,22 @@ PreparedExploration Explorer::prepare(
     KernelPrep kernel_prep = prepare_kernel(w);
     prep.kernel_names.push_back(w.name);
     prep.programs.push_back(std::move(kernel_prep.program));
-    base_contexts.push_back(std::move(kernel_prep.base_context));
-    result.base_cycles += base_contexts.back().length();
+    result.base_cycles += kernel_prep.base_context.length();
+    profiles.push_back(std::move(kernel_prep.profile));
   }
   result.base_area = synth_.area(base);
   const double base_clock = synth_.clock_ns(base);
   result.base_time_ns = static_cast<double>(result.base_cycles) * base_clock;
 
   // Step 2–3: enumerate and estimate.
-  const EstimateFn estimate = [&base_contexts](
-                                  std::size_t k,
-                                  const arch::Architecture& target) {
-    return core::estimate_performance(base_contexts[k], target);
+  const EstimateFn estimate = [&profiles](std::size_t k,
+                                          const arch::Architecture& target) {
+    return core::estimate_performance(profiles[k], target);
   };
   const double area_raw = base_area_raw();
   for (const DesignPoint& point : enumerate_points())
     result.candidates.push_back(
-        estimate_candidate(point, base, base_contexts.size(), estimate,
+        estimate_candidate(point, base, profiles.size(), estimate,
                            area_raw, result.base_time_ns));
 
   // Step 4: Pareto filter over the surviving estimates.

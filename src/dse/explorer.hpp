@@ -7,8 +7,8 @@
 //   2. enumerates RSP parameter combinations (units per row, units per
 //      column, pipeline stages);
 //   3. estimates hardware cost with eq. (2) and performance with the fast
-//      stall upper bound, rejecting points that violate the cost constraint
-//      or the performance floor;
+//      stall estimate (core/estimate.hpp), rejecting points that violate
+//      the cost constraint or the performance floor;
 //   4. keeps the Pareto points of (estimated area, estimated time);
 //   5. evaluates the survivors exactly (full rescheduling of every kernel)
 //      and selects the optimum under the chosen objective.
@@ -42,7 +42,7 @@ struct Candidate {
   double area_estimate = 0.0;      ///< eq. (2), slices
   double area_synthesized = 0.0;   ///< calibrated synthesis estimate
   double clock_ns = 0.0;
-  long estimated_cycles = 0;       ///< Σ over kernels, fast upper bound
+  long estimated_cycles = 0;       ///< Σ over kernels, fast estimate
   double estimated_time_ns = 0.0;
   bool rejected = false;
   std::string reject_reason;
@@ -71,8 +71,9 @@ struct ExplorerConfig {
   double max_time_ratio = 1.5;
   /// Pareto relaxation: survivors may be up to (1+ε) worse in both
   /// objectives than a dominating point. Since the performance numbers at
-  /// this stage are optimistic upper bounds, a small ε keeps genuinely
-  /// competitive designs alive for exact evaluation.
+  /// this stage are estimates (optimistic on the paper suite, not
+  /// guaranteed so), a small ε keeps genuinely competitive designs alive
+  /// for exact evaluation.
   double pareto_epsilon = 0.05;
   Objective objective = Objective::kMinAreaTimeProduct;
 
@@ -107,16 +108,20 @@ struct PreparedExploration {
   ExplorationResult result;
 };
 
-/// Step-1 product for one kernel: the placed program and its schedule on
+/// Step-1 product for one kernel: the placed program, its schedule on
 /// the base architecture (one of the paper's "initial configuration
-/// contexts"). This is what the runtime's mapping memo-cache stores.
+/// contexts") and that schedule's estimate profile, which steps 2–3 read
+/// at every design point. This is what the runtime's mapping memo-cache
+/// stores.
 struct KernelPrep {
   sched::PlacedProgram program;
   sched::ConfigurationContext base_context;
+  core::EstimateProfile profile;
 };
 
 /// The canonical step-1 computation for one kernel on its own array
-/// geometry: map, schedule on the base architecture, legality-check.
+/// geometry: map, schedule on the base architecture, legality-check,
+/// profile for estimation.
 /// Every prepare path — Explorer::prepare, runtime::prepare_parallel, the
 /// mapping memo-cache fill — goes through this one function so the
 /// step-1 products cannot drift between the serial and parallel flows.
@@ -131,8 +136,8 @@ using MeasureFn = std::function<sched::PerfPoint(
 /// Estimation hook for `Explorer::estimate_candidate`, the step-2/3
 /// analogue of MeasureFn: returns the fast performance estimate of kernel
 /// `kernel_index`'s base context on `architecture`. The serial path calls
-/// core::estimate_performance directly; parallel paths may interpose the
-/// mapping memo-cache's estimate table.
+/// core::estimate_performance on the kernel's profile directly; parallel
+/// paths may interpose the mapping memo-cache's estimate table.
 using EstimateFn = std::function<core::PerfEstimate(
     std::size_t kernel_index, const arch::Architecture& architecture)>;
 

@@ -69,13 +69,12 @@ EstimateShard estimate_shard(const dse::Explorer& explorer,
             explorer.point_architecture(points[i], base);
         long sum = 0;
         for (std::size_t k = 0; k < domain.size(); ++k) {
-          const sched::ConfigurationContext& ctx =
-              prep.records[k]->base_context;
+          const core::EstimateProfile& profile = prep.records[k]->profile;
           const core::PerfEstimate est =
               mapping_cache != nullptr
                   ? mapping_cache->get_or_estimate(prep.mapping_keys[k],
-                                                   ctx, target)
-                  : core::estimate_performance(ctx, target);
+                                                   profile, target)
+                  : core::estimate_performance(profile, target);
           sum += est.estimated_cycles();
         }
         shard.estimated_cycles[i - begin] = sum;

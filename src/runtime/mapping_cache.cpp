@@ -77,13 +77,11 @@ std::shared_ptr<const dse::KernelPrep> MappingCache::get_or_map(
 }
 
 core::PerfEstimate MappingCache::get_or_estimate(
-    const std::string& mapping_key,
-    const sched::ConfigurationContext& base_context,
+    const std::string& mapping_key, const core::EstimateProfile& profile,
     const arch::Architecture& target) {
   return estimates_.get_or_compute(
-      mapping_key + '|' + arch_fingerprint(target), [&] {
-        return core::estimate_performance(base_context, target);
-      });
+      mapping_key + '|' + arch_fingerprint(target),
+      [&] { return core::estimate_performance(profile, target); });
 }
 
 bool MappingCache::invalidate(const std::string& key) {

@@ -4,9 +4,9 @@
 // base architecture — is recomputed identically for every `dse`, `eval`
 // and `map` request touching the same workload, and it dominates the
 // serial front-end of a serving process. This cache memoizes the
-// dse::KernelPrep (placed program + base configuration context) per
-// stable (kernel, array-spec) fingerprint so repeated requests skip
-// remapping entirely. Records are immutable and shared by pointer: a hit
+// dse::KernelPrep (placed program, base configuration context and its
+// estimate profile) per stable (kernel, array-spec) fingerprint so
+// repeated requests skip remapping entirely. Records are immutable and shared by pointer: a hit
 // is one shared_ptr copy, never a program copy, and eviction just drops a
 // reference (in-flight readers keep theirs alive).
 //
@@ -20,13 +20,16 @@
 // workloads that differ solely there must use distinct names — the
 // kernels catalogue guarantees this.
 //
-// Alongside the step-1 records the cache keeps a second table memoizing
-// the step-2/3 fast performance estimates derived from them
-// (core::estimate_performance of a base context on a target architecture,
-// keyed by mapping key + architecture fingerprint). Repeated explorations
-// of the same domain then collapse the whole serial front-end — mapping,
-// base scheduling *and* the O(grid × kernels) estimation sweep — to
-// lookups, the same way the EvalCache collapses repeated step-5 work.
+// Steps 2–3 profile once per kernel, then cost O(distinct patterns) per
+// point: the record's core::EstimateProfile holds the base context's
+// distinct per-cycle multiplication patterns and its run-length cycle
+// sequence, so estimating a design point matches each pattern once and
+// advances the backlog one run at a time. Alongside the step-1 records the
+// cache keeps a second table memoizing those estimates (keyed by mapping
+// key + architecture fingerprint). Repeated explorations of the same
+// domain then collapse the whole serial front-end — mapping, base
+// scheduling *and* the O(grid × kernels) estimation sweep — to lookups,
+// the same way the EvalCache collapses repeated step-5 work.
 //
 // Concurrency, capacity bounding and segmented-LRU eviction come from
 // StripedMemoCache (see runtime/striped_cache.hpp) — the same machinery
@@ -73,13 +76,12 @@ class MappingCache {
   }
 
   /// The memoized steps 2–3 for one (kernel, architecture) pair: the fast
-  /// performance estimate of `base_context` (the step-1 product under
+  /// performance estimate from `profile` (the step-1 product under
   /// `mapping_key`) on `target`. Deterministic, so a cached value is
   /// bit-identical to a fresh core::estimate_performance call.
-  core::PerfEstimate get_or_estimate(
-      const std::string& mapping_key,
-      const sched::ConfigurationContext& base_context,
-      const arch::Architecture& target);
+  core::PerfEstimate get_or_estimate(const std::string& mapping_key,
+                                     const core::EstimateProfile& profile,
+                                     const arch::Architecture& target);
 
   std::optional<std::shared_ptr<const dse::KernelPrep>> lookup(
       const std::string& key) const {

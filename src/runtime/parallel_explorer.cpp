@@ -150,12 +150,9 @@ dse::PreparedExploration prepare_parallel(
 
   dse::PreparedExploration prep;
   dse::ExplorationResult& result = prep.result;
-  std::vector<const sched::ConfigurationContext*> context_ptrs;
-  context_ptrs.reserve(domain.size());
   for (std::size_t k = 0; k < domain.size(); ++k) {
     prep.kernel_names.push_back(domain[k].name);
     prep.programs.push_back(records[k]->program);
-    context_ptrs.push_back(&records[k]->base_context);
     result.base_cycles += records[k]->base_context.length();
   }
   result.base_area = explorer.synthesis().area(base);
@@ -171,10 +168,11 @@ dse::PreparedExploration prepare_parallel(
   // domains skip the whole sweep, not just the remapping.
   const dse::EstimateFn estimate =
       [&](std::size_t k, const arch::Architecture& target) {
+        const core::EstimateProfile& profile = records[k]->profile;
         if (mapping_cache == nullptr)
-          return core::estimate_performance(*context_ptrs[k], target);
-        return mapping_cache->get_or_estimate(mapping_keys[k],
-                                              *context_ptrs[k], target);
+          return core::estimate_performance(profile, target);
+        return mapping_cache->get_or_estimate(mapping_keys[k], profile,
+                                              target);
       };
   const std::vector<dse::DesignPoint> points = explorer.enumerate_points();
   std::vector<dse::Candidate> slots(points.size());
@@ -190,7 +188,7 @@ dse::PreparedExploration prepare_parallel(
         futures.push_back(pool.submit([&, lo, hi] {
           for (std::size_t i = lo; i < hi; ++i)
             slots[i] = explorer.estimate_candidate(
-                points[i], base, context_ptrs.size(), estimate,
+                points[i], base, records.size(), estimate,
                 base_area_raw, base_time_ns);
         }));
       }

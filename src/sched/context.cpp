@@ -53,6 +53,30 @@ int ConfigurationContext::max_critical_issues_per_cycle() const {
   return counts.empty() ? 0 : *std::max_element(counts.begin(), counts.end());
 }
 
+IssueIndex build_issue_index(const std::vector<ScheduledOp>& ops,
+                             const std::vector<char>& skip) {
+  IssueIndex index;
+  index.order.reserve(ops.size());
+  for (std::size_t i = 0; i < ops.size(); ++i)
+    if (skip.empty() || !skip[i])
+      index.order.push_back(static_cast<std::int64_t>(i));
+  // Stable: within a cycle the op indices stay ascending.
+  std::stable_sort(index.order.begin(), index.order.end(),
+                   [&ops](std::int64_t a, std::int64_t b) {
+                     return ops[static_cast<std::size_t>(a)].cycle <
+                            ops[static_cast<std::size_t>(b)].cycle;
+                   });
+  for (std::size_t s = 0; s < index.order.size(); ++s) {
+    const int cycle = ops[static_cast<std::size_t>(index.order[s])].cycle;
+    if (index.active_cycles.empty() || cycle != index.active_cycles.back()) {
+      index.active_cycles.push_back(cycle);
+      index.offsets.push_back(static_cast<std::int64_t>(s));
+    }
+  }
+  index.offsets.push_back(static_cast<std::int64_t>(index.order.size()));
+  return index;
+}
+
 namespace {
 
 std::uint8_t opcode_of(ir::OpKind kind) {

@@ -37,6 +37,22 @@ struct ScheduledOp {
   std::optional<arch::SharedUnitId> unit;
 };
 
+/// Active-cycle CSR issue index over a schedule: op indices in issue order
+/// (ascending cycle, then ascending op index), grouped per cycle that
+/// issues anything. Idle cycles cost nothing to build or walk — the
+/// structural verifier replays through it and the event simulator executes
+/// through it.
+struct IssueIndex {
+  std::vector<std::int32_t> active_cycles;  ///< ascending
+  std::vector<std::int64_t> offsets;  ///< size active_cycles.size() + 1
+  std::vector<std::int64_t> order;    ///< op indices, issue order
+};
+
+/// Indexes `ops`, leaving out every op i with `skip[i]` set (`skip` empty
+/// or sized like `ops`).
+IssueIndex build_issue_index(const std::vector<ScheduledOp>& ops,
+                             const std::vector<char>& skip = {});
+
 class ConfigurationContext {
  public:
   ConfigurationContext(arch::Architecture architecture,

@@ -1,6 +1,5 @@
 #include "sim/program.hpp"
 
-#include <algorithm>
 #include <map>
 
 #include "analysis/verifier.hpp"
@@ -15,7 +14,10 @@ SimProgram SimProgram::compile(const sched::ConfigurationContext& context) {
   // context that compiles is exactly a context the linter reports no
   // errors on, message for message.
   validate_context(context);
-  analysis::verify_structural(context);
+  SimProgram p;
+  // The index the structural replay walked is exactly the dense loop's
+  // visitation order: ascending cycle, then ascending op index.
+  p.issues_ = analysis::verify_structural(context);
 
   const arch::Architecture& a = context.architecture();
   const arch::ArraySpec& array = a.array;
@@ -23,7 +25,6 @@ SimProgram SimProgram::compile(const sched::ConfigurationContext& context) {
   const std::size_t n = ops.size();
   const int total_cycles = context.length();
 
-  SimProgram p;
   p.total_cycles_ = total_cycles;
 
   // ------------------------------------------------- struct-of-arrays ops
@@ -73,26 +74,6 @@ SimProgram SimProgram::compile(const sched::ConfigurationContext& context) {
     }
   }
 
-  // ------------------------------------- activity list (CSR over cycles)
-  // Issue order is exactly the dense loop's visitation order: ascending
-  // cycle, then ascending op index within a cycle.
-  std::vector<std::vector<std::int64_t>> by_cycle(
-      static_cast<std::size_t>(std::max(total_cycles, 1)));
-  for (std::size_t i = 0; i < n; ++i)
-    by_cycle[static_cast<std::size_t>(ops[i].cycle)].push_back(
-        static_cast<std::int64_t>(i));
-
-  p.issue_order_.reserve(n);
-  p.issue_offsets_.push_back(0);
-  for (int t = 0; t < total_cycles; ++t) {
-    const auto& issues = by_cycle[static_cast<std::size_t>(t)];
-    if (issues.empty()) continue;
-    p.active_cycles_.push_back(t);
-    p.issue_order_.insert(p.issue_order_.end(), issues.begin(), issues.end());
-    p.issue_offsets_.push_back(
-        static_cast<std::int64_t>(p.issue_order_.size()));
-  }
-
   // --------------------------------------------- schedule-static stats
   // The structural replay already proved the schedule legal, so every
   // counter the replay used to accumulate is a pure function of the op
@@ -136,9 +117,8 @@ SimResult SimProgram::run(ir::Memory& memory, ir::DatapathMode mode) const {
                          : imm;
   };
 
-  for (std::int64_t s = 0;
-       s < static_cast<std::int64_t>(issue_order_.size()); ++s) {
-    const auto i = static_cast<std::size_t>(issue_order_[s]);
+  for (const std::int64_t op : issues_.order) {
+    const auto i = static_cast<std::size_t>(op);
     std::int64_t value = 0;
     switch (kind_[i]) {
       case ir::OpKind::kLoad:

@@ -8,8 +8,8 @@
 //     slots, immediate, interned array id + address) — integer ids
 //     everywhere, no per-cycle string keys;
 //   * the per-cycle issue lists become one CSR table over the *active*
-//     cycles only (`active_cycles_` / `issue_offsets_` / `issue_order_`),
-//     so idle cycles cost nothing at run time;
+//     cycles only (sched::IssueIndex, shared with the structural verifier
+//     that builds it), so idle cycles cost nothing at compile or run time;
 //   * every structural-legality check of the dense reference loop
 //     (PE exclusivity, bus budgets, shared-unit arbitration, operand
 //     readiness) is replayed once at compile time over exactly the dense
@@ -51,7 +51,7 @@ class SimProgram {
   int total_cycles() const { return total_cycles_; }
   /// Cycles with at least one scheduled issue — the event engine's work set.
   std::int64_t active_cycle_count() const {
-    return static_cast<std::int64_t>(active_cycles_.size());
+    return static_cast<std::int64_t>(issues_.active_cycles.size());
   }
   /// Schedule-static utilisation counters (identical to what a run reports).
   const UtilizationStats& static_stats() const { return stats_; }
@@ -72,10 +72,8 @@ class SimProgram {
   std::vector<std::string> array_names_;  // interned, indexed by array_id_
 
   // Activity list: op indices in dense execution order (issue cycle, then
-  // op index), grouped per active cycle by the CSR offsets.
-  std::vector<std::int64_t> issue_order_;
-  std::vector<std::int32_t> active_cycles_;
-  std::vector<std::int64_t> issue_offsets_;  // size active_cycles_.size()+1
+  // op index), grouped per active cycle.
+  sched::IssueIndex issues_;
 
   int total_cycles_ = 0;
   UtilizationStats stats_;

@@ -162,6 +162,7 @@ TEST(CliJson, ServeRejectsACorruptCacheSnapshotInBand) {
   // A cache_load of a snapshot truncated mid-write must come back as a
   // normal {"ok": false} response naming the parse failure — not kill the
   // serve loop (the next request on the same stream still answers).
+  // Responses stream out of order, so they are matched by id.
   const std::string path = "/tmp/rsp_cli_json_corrupt_cache.json";
   run_shell("printf '{\"format\": \"rsp-eval-cache\", \"ver' > " + path);
   const CliResult r = run_shell(
@@ -172,18 +173,21 @@ TEST(CliJson, ServeRejectsACorruptCacheSnapshotInBand) {
       std::string(RSP_CLI_BINARY) + " serve");
   run_shell("rm -f " + path);
   ASSERT_EQ(r.exit_code, 0);
+  std::map<std::string, util::Json> by_id;
   std::istringstream lines(r.stdout_text);
   std::string line;
-  ASSERT_TRUE(std::getline(lines, line));
-  const util::Json failed = util::Json::parse(line);
-  EXPECT_EQ(failed.at("id").as_string(), "cl");
+  while (std::getline(lines, line)) {
+    const util::Json response = util::Json::parse(line);
+    by_id.emplace(response.at("id").as_string(), response);
+  }
+  ASSERT_EQ(by_id.size(), 2u) << r.stdout_text;
+  ASSERT_EQ(by_id.count("cl"), 1u);
+  const util::Json& failed = by_id.at("cl");
   EXPECT_FALSE(failed.at("ok").as_bool());
   EXPECT_NE(failed.at("error").as_string().find("JSON parse error"),
             std::string::npos);
-  ASSERT_TRUE(std::getline(lines, line));
-  const util::Json ping = util::Json::parse(line);
-  EXPECT_EQ(ping.at("id").as_string(), "p");
-  EXPECT_TRUE(ping.at("ok").as_bool());
+  ASSERT_EQ(by_id.count("p"), 1u);
+  EXPECT_TRUE(by_id.at("p").at("ok").as_bool());
 }
 
 }  // namespace

@@ -437,7 +437,7 @@ TEST(MappingCache, InvalidationForcesRemapAndDropsDerivedEstimates) {
   MappingCache cache;
   const auto record = cache.get_or_map(w);
   const core::PerfEstimate est = cache.get_or_estimate(
-      key, record->base_context, arch::rsp_architecture(2));
+      key, record->profile, arch::rsp_architecture(2));
   EXPECT_GT(est.estimated_cycles(), 0);
   EXPECT_EQ(cache.estimate_stats().entries, 1u);
 
@@ -464,9 +464,9 @@ TEST(MappingCache, EstimatesMatchDirectComputation) {
       const core::PerfEstimate direct =
           core::estimate_performance(record->base_context, a);
       const core::PerfEstimate cached =
-          cache.get_or_estimate(key, record->base_context, a);
+          cache.get_or_estimate(key, record->profile, a);
       const core::PerfEstimate warm =
-          cache.get_or_estimate(key, record->base_context, a);
+          cache.get_or_estimate(key, record->profile, a);
       EXPECT_EQ(cached.estimated_cycles(), direct.estimated_cycles());
       EXPECT_EQ(warm.estimated_cycles(), direct.estimated_cycles());
       EXPECT_EQ(warm.base_cycles, direct.base_cycles);

@@ -7,6 +7,15 @@
 #include "synth/synthesis.hpp"
 #include "util/error.hpp"
 
+namespace rsp::synth::paper {
+// Print a Table 2 row by its architecture name. Without this gtest dumps the
+// raw bytes, which include a heap pointer, so the test names registered with
+// ctest would change on every build.
+void PrintTo(const SynthesisRow& row, std::ostream* os) {
+  *os << '"' << row.arch << '"';
+}
+}  // namespace rsp::synth::paper
+
 namespace rsp::synth {
 namespace {
 
