@@ -10,7 +10,6 @@
 #include "bench_common.hpp"
 #include "core/evaluator.hpp"
 #include "kernels/workload.hpp"
-#include "sched/legality.hpp"
 #include "sched/mapper.hpp"
 #include "synth/paper_reference.hpp"
 

@@ -7,11 +7,11 @@
 // and executed on the simulator against a plain C++ reference.
 #include <iostream>
 
+#include "analysis/verifier.hpp"
 #include "arch/presets.hpp"
 #include "core/evaluator.hpp"
 #include "ir/builder.hpp"
 #include "kernels/workload.hpp"
-#include "sched/legality.hpp"
 #include "sched/mapper.hpp"
 #include "sched/scheduler.hpp"
 #include "sched/steady_state.hpp"
@@ -75,7 +75,7 @@ int main() {
   const arch::Architecture chosen = arch::rsp_architecture(2);
   const sched::ConfigurationContext ctx =
       scheduler.schedule(program, chosen);
-  sched::require_legal(ctx);
+  analysis::require_legal(ctx);
 
   ir::Memory mem;
   mem.set("x", kernels::deterministic_data("fir.x", kIters + kTaps, -40, 40));

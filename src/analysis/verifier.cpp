@@ -74,6 +74,8 @@ const char* hint_for(const std::string& rule) {
   if (rule == "RSP-V005") return "give the store a value operand";
   if (rule == "RSP-V006")
     return "shared-unit line/index must fit the architecture's pools";
+  if (rule == "RSP-V007")
+    return "order dependencies must index an op of this program";
   if (rule == "RSP-S001")
     return "a PE issues one op per cycle and blocks for every stage of a "
            "multi-cycle op";
@@ -112,6 +114,14 @@ const char* hint_for(const std::string& rule) {
   if (rule == "RSP-W008")
     return "a PE reaches only its own row pool and column pool; pick a unit "
            "on the op's row or column";
+  if (rule == "RSP-C001")
+    return "a multiplication takes the architecture's multiplier latency "
+           "(its pipeline stages), every other op one cycle";
+  if (rule == "RSP-C002")
+    return "only critical ops on a resource-shared architecture take a "
+           "shared unit; drop the assignment";
+  if (rule == "RSP-C003")
+    return "issue the memory op after its ordering predecessor completes";
   return "";
 }
 
@@ -133,6 +143,18 @@ bool unit_in_pools(const arch::Architecture& a, const arch::SharedUnitId& u) {
       row_pool ? a.sharing.units_per_row : a.sharing.units_per_col;
   return u.line >= 0 && u.line < lines && u.index >= 0 && u.index < pool_size;
 }
+
+/// An in-pools unit is reachable iff it sits on the PE's own row or column
+/// pool (arch::SharingPlan::reachable_units, without building the list).
+bool unit_reachable(const arch::PeCoord& pe, const arch::SharedUnitId& u) {
+  return u.line == (u.pool == arch::SharedUnitId::Pool::kRow ? pe.row : pe.col);
+}
+
+/// Which rule set a pass runs. kLint is the full linter: simulator errors
+/// plus every warning. kContract is the scheduler contract: the simulator
+/// errors, W001/W007/W008 promoted to errors, readiness over every operand
+/// and the contract-only RSP-C rules; the lint-only W002-W006 are skipped.
+enum class Profile { kLint, kContract };
 
 Locus locus_of(std::size_t i, const sched::ScheduledOp& op) {
   return Locus{static_cast<int>(i), op.cycle, op.pe.row, op.pe.col};
@@ -198,6 +220,12 @@ void validation_pass(const arch::Architecture& a,
             "simulator: op " + std::to_string(i) + " names shared unit " +
                 arch::to_string(*op.unit) +
                 " outside the architecture's pools"});
+    for (const sched::ProgIndex d : op.order_deps)
+      if (d < 0 || d >= size)
+        emit({"RSP-V007", Severity::kError, locus_of(i, op),
+              "simulator: op " + std::to_string(i) +
+                  " order dependency " + std::to_string(d) +
+                  " out of range [0, " + std::to_string(size) + ")"});
   }
 }
 
@@ -208,10 +236,13 @@ void validation_pass(const arch::Architecture& a,
 /// findings accumulate; in verify mode the emit callback throws at the
 /// first finding, reproducing compile's stop-at-first-error behaviour
 /// exactly. Idle cycles never touch the check state, so skipping them
-/// changes no finding.
+/// changes no finding. RSP-S006 checks the operands the engines read
+/// (a store's value, the first two of a compute op) unless
+/// `every_operand` is set, as the scheduler contract requires.
 void structural_pass(const arch::Architecture& a,
                      const std::vector<sched::ScheduledOp>& ops,
-                     const sched::IssueIndex& issues, const EmitFn& emit) {
+                     const sched::IssueIndex& issues, bool every_operand,
+                     const EmitFn& emit) {
   const arch::ArraySpec& array = a.array;
   const auto n = ops.size();
   const int total_units = a.sharing.total_units(array);
@@ -240,16 +271,7 @@ void structural_pass(const arch::Architecture& a,
       pe_busy_until[static_cast<std::size_t>(pe)] =
           t + (ir::is_critical_op(op.kind) ? op.latency : 1);
 
-      const auto require_ready = [&](const sched::ProgOperand& o) {
-        if (o.is_imm()) return;
-        if (o.producer < 0 || o.producer >= static_cast<sched::ProgIndex>(n))
-          return;  // RSP-V004 already reported the dangling producer
-        if (ready_at[static_cast<std::size_t>(o.producer)] > t)
-          emit({"RSP-S006", Severity::kError, locus_of(i, op),
-                "simulator: operand consumed before ready at cycle " +
-                    std::to_string(t)});
-      };
-
+      std::size_t reads = 0;  // leading operands the engines read
       switch (op.kind) {
         case ir::OpKind::kLoad:
           if (++row_reads[static_cast<std::size_t>(op.pe.row)] >
@@ -266,7 +288,7 @@ void structural_pass(const arch::Architecture& a,
                   "simulator: write-bus oversubscribed on row " +
                       std::to_string(op.pe.row) + " at cycle " +
                       std::to_string(t)});
-          if (!op.operands.empty()) require_ready(op.operands[0]);
+          reads = 1;
           break;
         case ir::OpKind::kNop:
           break;
@@ -284,25 +306,41 @@ void structural_pass(const arch::Architecture& a,
               unit_taken[static_cast<std::size_t>(unit)] = 1;
             }
           }
-          if (!op.operands.empty()) require_ready(op.operands[0]);
-          if (op.operands.size() > 1) require_ready(op.operands[1]);
+          reads = 2;
           break;
         }
+      }
+      if (every_operand || reads > op.operands.size())
+        reads = op.operands.size();
+      for (std::size_t k = 0; k < reads; ++k) {
+        const sched::ProgOperand& o = op.operands[k];
+        // A dangling producer is RSP-V004's finding, not this one's.
+        if (o.is_imm() || o.producer < 0 ||
+            o.producer >= static_cast<sched::ProgIndex>(n))
+          continue;
+        if (ready_at[static_cast<std::size_t>(o.producer)] > t)
+          emit({"RSP-S006", Severity::kError, locus_of(i, op),
+                "simulator: operand consumed before ready at cycle " +
+                    std::to_string(t)});
       }
       ready_at[i] = t + op.latency;
     }
   }
 }
 
-/// Lint-only rules: everything here is simulator-legal (the engines accept
-/// the context and produce deterministic values) but almost certainly not
-/// what the schedule's author meant.
-void warning_pass(const arch::Architecture& a,
-                  const std::vector<sched::ScheduledOp>& ops,
-                  const EmitFn& emit, const std::vector<char>& skip_replay) {
+/// Rules beyond the simulator's. Under kLint they are warnings: the
+/// engines accept the context and produce deterministic values, but it is
+/// almost certainly not what the schedule's author meant. Under kContract
+/// W001/W007/W008 are errors (no scheduler output may contain them), the
+/// RSP-C rules run, and the lint-only W002-W006 are skipped.
+void semantic_pass(const arch::Architecture& a,
+                   const std::vector<sched::ScheduledOp>& ops, Profile profile,
+                   const EmitFn& emit, const std::vector<char>& skip_replay) {
   const arch::ArraySpec& array = a.array;
   const auto n = ops.size();
   const auto size = static_cast<sched::ProgIndex>(n);
+  const bool contract = profile == Profile::kContract;
+  const Severity flow = contract ? Severity::kError : Severity::kWarning;
   const auto producer_ok = [&](const sched::ProgOperand& o) {
     return !o.is_imm() && o.producer >= 0 && o.producer < size;
   };
@@ -318,28 +356,27 @@ void warning_pass(const arch::Architecture& a,
       // RSP-W001: the producer issues at (or after) the consumer's slot in
       // replay order, so the consumer silently reads the initial 0 — the
       // silent twin of the RSP-S006 error (producer issued, result not
-      // ready yet).
+      // ready yet). Together they cover every operand that is not ready.
       if (prod.cycle > op.cycle || (prod.cycle == op.cycle && p >= i))
-        emit({"RSP-W001", Severity::kWarning, locus_of(i, op),
+        emit({"RSP-W001", flow, locus_of(i, op),
               "op " + std::to_string(i) + " consumes producer " +
                   std::to_string(p) + " which issues at cycle " +
                   std::to_string(prod.cycle) + ", not before cycle " +
                   std::to_string(op.cycle) +
                   "; the consumer reads the initial 0"});
       // RSP-W003: a loop-carried value flowing backwards in iteration space.
-      if (prod.iter >= 0 && op.iter >= 0 && prod.iter > op.iter)
+      if (!contract && prod.iter >= 0 && op.iter >= 0 && prod.iter > op.iter)
         emit({"RSP-W003", Severity::kWarning, locus_of(i, op),
               "op " + std::to_string(i) + " (iteration " +
                   std::to_string(op.iter) + ") consumes producer " +
                   std::to_string(p) + " from later iteration " +
                   std::to_string(prod.iter)});
       // RSP-W007: the operand has no single-hop route in the interconnect.
-      // The simulators move values by index and never check this, so it is
-      // a warning here; sched::check_legality rejects it on scheduler
-      // output.
+      // The simulators move values by index and never check this, so the
+      // linter only warns; the scheduler contract rejects it.
       if (!skip_replay[i] && !skip_replay[p] &&
           array.route(prod.pe, op.pe) == arch::RouteKind::kNone)
-        emit({"RSP-W007", Severity::kWarning, locus_of(i, op),
+        emit({"RSP-W007", flow, locus_of(i, op),
               "op " + std::to_string(i) + " cannot receive its operand: no "
                   "single-hop route from producer " + std::to_string(p) +
                   " at PE (" + std::to_string(prod.pe.row) + ", " +
@@ -350,18 +387,46 @@ void warning_pass(const arch::Architecture& a,
     // RSP-W008: a unit that exists but sits on a row/column pool the PE's
     // bus switch does not reach (again simulator-legal: the engines index
     // units globally).
-    if (!skip_replay[i] && ir::is_critical_op(op.kind) &&
-        a.shares_multiplier() && op.unit && unit_in_pools(a, *op.unit)) {
-      const auto reachable = a.sharing.reachable_units(array, op.pe);
-      if (std::find(reachable.begin(), reachable.end(), *op.unit) ==
-          reachable.end())
-        emit({"RSP-W008", Severity::kWarning, locus_of(i, op),
-              "op " + std::to_string(i) + " names shared unit " +
-                  arch::to_string(*op.unit) + " unreachable from PE (" +
-                  std::to_string(op.pe.row) + ", " +
-                  std::to_string(op.pe.col) + ")"});
+    const bool shared_op = ir::is_critical_op(op.kind) && a.shares_multiplier();
+    if (!skip_replay[i] && shared_op && op.unit &&
+        unit_in_pools(a, *op.unit) && !unit_reachable(op.pe, *op.unit))
+      emit({"RSP-W008", flow, locus_of(i, op),
+            "op " + std::to_string(i) + " names shared unit " +
+                arch::to_string(*op.unit) + " unreachable from PE (" +
+                std::to_string(op.pe.row) + ", " +
+                std::to_string(op.pe.col) + ")"});
+    if (!contract) continue;
+
+    // RSP-C001: the architecture fixes every latency.
+    const int expected = ir::is_critical_op(op.kind) ? a.mult_latency() : 1;
+    if (op.latency != expected)
+      emit({"RSP-C001", Severity::kError, locus_of(i, op),
+            "op " + std::to_string(i) + " (" + ir::op_name(op.kind) +
+                ") has latency " + std::to_string(op.latency) +
+                ", architecture '" + a.name + "' dictates " +
+                std::to_string(expected)});
+    // RSP-C002: a unit assignment where nothing can be shared.
+    if (op.unit && !shared_op)
+      emit({"RSP-C002", Severity::kError, locus_of(i, op),
+            "op " + std::to_string(i) + " (" + ir::op_name(op.kind) +
+                ") names shared unit " + arch::to_string(*op.unit) +
+                (a.shares_multiplier()
+                     ? ", but only critical ops issue on shared units"
+                     : " on architecture '" + a.name +
+                           "', which shares nothing")});
+    // RSP-C003: a memory op issued before its ordering predecessor is done.
+    for (const sched::ProgIndex d : op.order_deps) {
+      if (d < 0 || d >= size) continue;  // RSP-V007
+      const sched::ScheduledOp& pred = ops[static_cast<std::size_t>(d)];
+      if (op.cycle < pred.cycle + pred.latency)
+        emit({"RSP-C003", Severity::kError, locus_of(i, op),
+              "op " + std::to_string(i) + " issues at cycle " +
+                  std::to_string(op.cycle) + " before memory-order "
+                  "predecessor " + std::to_string(d) + " completes at cycle " +
+                  std::to_string(pred.cycle + pred.latency)});
     }
   }
+  if (contract) return;
 
   // RSP-W002: dead values.
   for (std::size_t i = 0; i < n; ++i)
@@ -421,7 +486,7 @@ void warning_pass(const arch::Architecture& a,
 
 LintReport lint_impl(const arch::Architecture& a,
                      const std::vector<sched::ScheduledOp>& ops, int length,
-                     bool pre_construction) {
+                     bool pre_construction, Profile profile) {
   LintReport report;
   const EmitFn collect = [&report](Finding f) {
     report.diagnostics.push_back(Diagnostic{
@@ -429,8 +494,9 @@ LintReport lint_impl(const arch::Architecture& a,
   };
   std::vector<char> skip_replay(ops.size(), 0);
   validation_pass(a, ops, length, pre_construction, collect, skip_replay);
-  structural_pass(a, ops, sched::build_issue_index(ops, skip_replay), collect);
-  warning_pass(a, ops, collect, skip_replay);
+  structural_pass(a, ops, sched::build_issue_index(ops, skip_replay),
+                  /*every_operand=*/profile == Profile::kContract, collect);
+  semantic_pass(a, ops, profile, collect, skip_replay);
   return report;
 }
 
@@ -445,12 +511,28 @@ LintReport lint_schedule(const arch::Architecture& architecture,
   for (const sched::ScheduledOp& op : ops)
     if (op.cycle >= 0 && op.latency >= 1)
       length = std::max(length, op.cycle + op.latency);
-  return lint_impl(architecture, ops, length, /*pre_construction=*/true);
+  return lint_impl(architecture, ops, length, /*pre_construction=*/true,
+                   Profile::kLint);
 }
 
 LintReport lint_context(const sched::ConfigurationContext& context) {
   return lint_impl(context.architecture(), context.ops(), context.length(),
-                   /*pre_construction=*/false);
+                   /*pre_construction=*/false, Profile::kLint);
+}
+
+LintReport check_legality(const sched::ConfigurationContext& context) {
+  return lint_impl(context.architecture(), context.ops(), context.length(),
+                   /*pre_construction=*/false, Profile::kContract);
+}
+
+void require_legal(const sched::ConfigurationContext& context) {
+  const LintReport report = check_legality(context);
+  if (report.diagnostics.empty()) return;
+  const Diagnostic& first = report.diagnostics.front();
+  const std::size_t more = report.diagnostics.size() - 1;
+  throw Error("illegal configuration context: " + first.rule + ": " +
+              first.message +
+              (more > 0 ? " (+" + std::to_string(more) + " more)" : ""));
 }
 
 void verify_context(const sched::ConfigurationContext& context) {
@@ -466,7 +548,8 @@ sched::IssueIndex verify_structural(
     const sched::ConfigurationContext& context) {
   const EmitFn raise = [](Finding f) { throw Error(f.message); };
   sched::IssueIndex issues = sched::build_issue_index(context.ops());
-  structural_pass(context.architecture(), context.ops(), issues, raise);
+  structural_pass(context.architecture(), context.ops(), issues,
+                  /*every_operand=*/false, raise);
   return issues;
 }
 

@@ -1,9 +1,11 @@
 // Static verifier over placed-and-scheduled programs.
 //
-// One checking implementation serves two callers:
+// One checking implementation serves three callers:
 //   * `lint_*` walk every rule and return a full LintReport — the engine
-//     behind `rsp_cli lint`, the v2 protocol `lint` op and the fuzzer's
-//     pre-flight hook.
+//     behind `rsp_cli lint` and the v2 protocol `lint` op.
+//   * `check_legality` / `require_legal` run the scheduler contract: the
+//     simulator's rules plus the stricter ones every scheduler output must
+//     satisfy. The service, DSE step 1 and the fuzzer gate contexts here.
 //   * `verify_context` / `verify_structural` stop at the first violation
 //     and throw exactly what the simulator historically threw
 //     (InvalidArgumentError for per-op validation rules, rsp::Error for
@@ -32,6 +34,16 @@ LintReport lint_schedule(const arch::Architecture& architecture,
 
 /// Full lint of a constructed (hence cycle/latency-sane) context.
 LintReport lint_context(const sched::ConfigurationContext& context);
+
+/// Scheduler-contract check of a context: the validation and structural
+/// rules, readiness over every non-immediate operand, RSP-W001/W007/W008
+/// as errors and the contract-only RSP-C001..C003. Skips the lint-only
+/// RSP-W002..W006. Every finding is an error, so clean() == legal.
+LintReport check_legality(const sched::ConfigurationContext& context);
+
+/// Throws rsp::Error naming the first contract finding's rule id and
+/// message if `context` is illegal.
+void require_legal(const sched::ConfigurationContext& context);
 
 /// Per-op validation rules (RSP-V*) in op-index order; throws
 /// InvalidArgumentError with the first violation's message. This is the

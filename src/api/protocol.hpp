@@ -15,8 +15,8 @@
 // v1 (compatibility) — the PR-2 batch document: a JSON array of bare
 // {"op": "eval"|"dse", ...} objects, no envelope, positional results.
 // `run_v1_batch` executes one concurrently over a Service and reassembles
-// a "results" array byte-identical to the retired serial
-// runtime::run_batch (the "runtime" counters are scheduling-dependent).
+// a "results" array byte-identical to the original serial batch runner
+// (the "runtime" counters are scheduling-dependent).
 //
 // The full schema reference lives in docs/PROTOCOL.md.
 #pragma once
@@ -83,7 +83,7 @@ util::Json encode_v2_response(const util::Json& id, util::Json body);
 ///
 /// Per-request failures are reported in-band in their result slot; only a
 /// non-array input throws (InvalidArgumentError). The "results" array is
-/// byte-identical to the serial PR-2 runtime::run_batch for every valid
+/// byte-identical to the original serial batch runner for every valid
 /// document and for its tested error paths (a request carrying several
 /// independent errors may report a different one of them, since config
 /// validation moved to decode time); the "runtime" hit/miss counters are

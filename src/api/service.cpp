@@ -17,7 +17,6 @@
 #include "rtl/generate.hpp"
 #include "runtime/dist_shard.hpp"
 #include "runtime/sim_batch.hpp"
-#include "sched/legality.hpp"
 #include "sched/mapper.hpp"
 #include "sched/pretty.hpp"
 #include "sched/scheduler.hpp"
@@ -56,7 +55,7 @@ sched::ConfigurationContext Service::schedule_for(
       mapping_cache_->get_or_map(w);
   const sched::ContextScheduler scheduler;
   sched::ConfigurationContext ctx = scheduler.schedule(prep->program, a);
-  sched::require_legal(ctx);
+  analysis::require_legal(ctx);
   return ctx;
 }
 

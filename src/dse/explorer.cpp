@@ -5,7 +5,7 @@
 #include <utility>
 
 #include "dse/pareto.hpp"
-#include "sched/legality.hpp"
+#include "analysis/verifier.hpp"
 #include "util/error.hpp"
 #include "util/logging.hpp"
 
@@ -75,7 +75,7 @@ KernelPrep prepare_kernel(const kernels::Workload& workload) {
       mapper.map(workload.kernel, workload.hints, workload.reduction);
   sched::ConfigurationContext base_context =
       scheduler.schedule(program, base);
-  sched::require_legal(base_context);
+  analysis::require_legal(base_context);
   core::EstimateProfile profile = core::make_estimate_profile(base_context);
   return KernelPrep{std::move(program), std::move(base_context),
                     std::move(profile)};

@@ -8,7 +8,6 @@
 #include "analysis/verifier.hpp"
 #include "api/service.hpp"
 #include "arch/presets.hpp"
-#include "sched/legality.hpp"
 #include "sched/mapper.hpp"
 #include "sched/scheduler.hpp"
 #include "sim/machine.hpp"
@@ -85,29 +84,16 @@ FuzzReport fuzz_one(std::uint64_t seed, const FuzzOptions& options) {
     for (const std::size_t index : arch_indices(seed, suite.size(), options)) {
       const arch::Architecture& a = suite[index];
       const sched::ConfigurationContext ctx = scheduler.schedule(program, a);
-      const sched::LegalityReport legality = sched::check_legality(ctx);
-      if (!legality.ok) {
+      // One scheduler-contract check: any finding means the scheduler
+      // emitted a context it promises never to emit (the simulators would
+      // reject it, or it breaks a hardware rule they do not model).
+      const analysis::LintReport legality = analysis::check_legality(ctx);
+      if (!legality.clean()) {
+        const analysis::Diagnostic& first = legality.diagnostics.front();
         report.ok = false;
         report.detail = "seed " + std::to_string(seed) + " on " + a.name +
-                        ": illegal schedule: " + legality.violations.front();
-        return report;
-      }
-      // Pre-flight static lint: any error-severity finding is a divergence
-      // (the simulators would reject the context that check_legality just
-      // accepted, or vice versa). Warnings are expected — generated
-      // kernels legitimately carry dead address-chain ops (RSP-W002).
-      const analysis::LintReport lint = analysis::lint_context(ctx);
-      if (!lint.clean()) {
-        const analysis::Diagnostic* first = nullptr;
-        for (const analysis::Diagnostic& d : lint.diagnostics)
-          if (d.severity == analysis::Severity::kError) {
-            first = &d;
-            break;
-          }
-        report.ok = false;
-        report.detail = "seed " + std::to_string(seed) + " on " + a.name +
-                        ": lint error " + first->rule + ": " +
-                        first->message;
+                        ": illegal schedule: " + first.rule + ": " +
+                        first.message;
         return report;
       }
 

@@ -39,7 +39,7 @@ struct RuntimeOptions {
   int threads = 0;
   /// External pool to run on (non-owning). nullptr = a private pool is
   /// created per call. Sharing one pool avoids thread churn when serving
-  /// many requests per process (see runtime::run_batch).
+  /// many requests per process (api::Service does).
   ThreadPool* pool = nullptr;
   /// Memo table consulted before any rescheduling. nullptr = no caching.
   std::shared_ptr<EvalCache> cache;

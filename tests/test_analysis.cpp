@@ -187,6 +187,34 @@ TEST(LintValidation, V006UnitOutsidePoolsMatchesSimulatorMessage) {
   EXPECT_EQ(d->message, run_error(ctx));
 }
 
+TEST(LintValidation, V007OrderDepOutOfRangeMatchesSimulatorMessage) {
+  // A store ordered after op 999 of a two-op program.
+  const analysis::ScheduleDocument doc = analysis::parse_schedule(
+      R"({"arch":"Base","ops":[)"
+      R"({"op":"const","pe":[0,0],"cycle":0,"imm":1},)"
+      R"({"op":"store","pe":[0,0],"cycle":1,"operands":[{"producer":0}],)"
+      R"("array":"x","address":0,"order_deps":[999]}]})");
+  const sched::ConfigurationContext ctx(doc.architecture, doc.ops);
+
+  const LintReport report = analysis::lint_context(ctx);
+  ASSERT_EQ(report.error_count(), 1);
+  const Diagnostic* d = find_rule(report, "RSP-V007");
+  ASSERT_NE(d, nullptr);
+  EXPECT_EQ(d->severity, Severity::kError);
+  EXPECT_EQ(d->locus, (analysis::Locus{1, 1, 0, 0}));
+  EXPECT_EQ(d->message, run_error(ctx));
+  EXPECT_FALSE(d->hint.empty());
+  EXPECT_FALSE(analysis::check_legality(ctx).clean());
+
+  // The document round-trips with the bad dependency intact and lints the
+  // same standalone as in context.
+  const analysis::ScheduleDocument again = analysis::parse_schedule(
+      analysis::encode_schedule(doc.architecture, doc.ops).dump());
+  EXPECT_EQ(again.ops.at(1).order_deps, std::vector<sched::ProgIndex>{999});
+  EXPECT_EQ(analysis::lint_schedule(again.architecture, again.ops).diagnostics,
+            report.diagnostics);
+}
+
 // ------------------------------------------------- structural rules (S)
 
 TEST(LintStructural, S001PeDoubleBookedMatchesCompileMessage) {

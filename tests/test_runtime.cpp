@@ -10,11 +10,12 @@
 #include <thread>
 #include <vector>
 
+#include "api/protocol.hpp"
+#include "api/service.hpp"
 #include "arch/presets.hpp"
 #include "core/evaluator.hpp"
 #include "dse/explorer.hpp"
 #include "kernels/registry.hpp"
-#include "runtime/batch.hpp"
 #include "runtime/eval_cache.hpp"
 #include "runtime/mapping_cache.hpp"
 #include "runtime/parallel_explorer.hpp"
@@ -702,6 +703,19 @@ TEST(ParallelExplorer, EvaluateSuiteRejectsEmptySuite) {
 }
 
 // -------------------------------------------------------------- batch API
+/// A v1 batch document over a one-shot api::Service. `threads` bounds both
+/// the evaluation pool and request dispatch (max_inflight), so threads=1
+/// cannot fan out across requests; 0 = hardware count for both.
+util::Json run_batch(const util::Json& requests, int threads = 0,
+                     std::shared_ptr<EvalCache> cache = nullptr) {
+  api::ServiceOptions options;
+  options.threads = threads;
+  options.max_inflight = threads;
+  options.cache = std::move(cache);
+  api::Service service(std::move(options));
+  return api::run_v1_batch(requests, service);
+}
+
 TEST(Batch, TwoRequestFileRoundTripsThroughJson) {
   util::Json requests = util::Json::array();
   util::Json eval = util::Json::object();
@@ -718,9 +732,7 @@ TEST(Batch, TwoRequestFileRoundTripsThroughJson) {
   dse_req.set("config", std::move(config));
   requests.push(std::move(dse_req));
 
-  BatchOptions options;
-  options.threads = 2;
-  const util::Json response = run_batch(requests, options);
+  const util::Json response = run_batch(requests, /*threads=*/2);
 
   // Valid JSON that survives a parse → dump round trip.
   const util::Json reparsed = util::Json::parse(response.dump());
@@ -769,11 +781,9 @@ TEST(Batch, SharedCacheStatsAreScopedToTheBatch) {
   eval.set("op", "eval").set("kernel", "MVM");
   requests.push(std::move(eval));
 
-  BatchOptions options;
-  options.threads = 1;
-  options.cache = std::make_shared<EvalCache>();  // warm across batches
-  const util::Json first = run_batch(requests, options);
-  const util::Json second = run_batch(requests, options);
+  const auto cache = std::make_shared<EvalCache>();  // warm across batches
+  const util::Json first = run_batch(requests, /*threads=*/1, cache);
+  const util::Json second = run_batch(requests, /*threads=*/1, cache);
 
   // First batch populates the shared cache (no hits); the second is served
   // entirely warm, and its report must cover only its own activity — not

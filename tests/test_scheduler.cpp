@@ -2,9 +2,9 @@
 
 #include <set>
 
+#include "analysis/verifier.hpp"
 #include "kernels/matmul.hpp"
 #include "kernels/registry.hpp"
-#include "sched/legality.hpp"
 #include "sched/mapper.hpp"
 #include "sched/pretty.hpp"
 #include "sched/report.hpp"
@@ -28,10 +28,10 @@ TEST(Scheduler, BaseScheduleIsLegalForEveryKernel) {
   const ContextScheduler s;
   for (const auto& w : kernels::paper_suite()) {
     const ConfigurationContext ctx = s.schedule(place(w), base_for(w));
-    const LegalityReport rep = check_legality(ctx);
-    EXPECT_TRUE(rep.ok) << w.name << ": "
-                        << (rep.violations.empty() ? ""
-                                                   : rep.violations.front());
+    const analysis::LintReport rep = analysis::check_legality(ctx);
+    EXPECT_TRUE(rep.clean()) << w.name << ": "
+                             << (rep.clean() ? ""
+                                             : rep.diagnostics.front().message);
   }
 }
 

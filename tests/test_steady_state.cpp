@@ -1,8 +1,8 @@
 #include <gtest/gtest.h>
 
+#include "analysis/verifier.hpp"
 #include "kernels/matmul.hpp"
 #include "kernels/registry.hpp"
-#include "sched/legality.hpp"
 #include "sched/mapper.hpp"
 #include "sched/scheduler.hpp"
 #include "sched/steady_state.hpp"
@@ -49,11 +49,11 @@ TEST(SteadyState, OverlappedRunsAreStructurallyLegal) {
       for (ProgIndex& d : shifted.order_deps) d += n;
       merged.push_back(shifted);
     }
-    const LegalityReport rep =
-        check_legality(ConfigurationContext(a, merged));
-    EXPECT_TRUE(rep.ok) << a.name << ": "
-                        << (rep.violations.empty() ? ""
-                                                   : rep.violations.front());
+    const analysis::LintReport rep =
+        analysis::check_legality(ConfigurationContext(a, merged));
+    EXPECT_TRUE(rep.clean()) << a.name << ": "
+                             << (rep.clean() ? ""
+                                             : rep.diagnostics.front().message);
   }
 }
 
