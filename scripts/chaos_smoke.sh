@@ -6,7 +6,7 @@
 # fault plan:
 #
 #   at=2:drop      the worker drops its connection on the first shard; the
-#                  coordinator must quarantine it, health-probe it back and
+#                  coordinator's link must reconnect on its next pull and
 #                  finish the run (the re-admission line is asserted);
 #   at=2:truncate  a reply cut mid-line, then the connection closes;
 #   at=3:garbage   a non-JSON line injected before a real reply;
@@ -99,8 +99,8 @@ run_recoverable() {
 }
 
 run_recoverable drop "at=2:drop"
-# The drop scenario must have gone through quarantine AND re-admission —
-# the worker process never died, so the health probe has to win it back.
+# The drop scenario must have gone through a lost link AND re-admission —
+# the worker process never died, so the reconnect has to win it back.
 if ! grep -q "re-admitted to the run" "$workdir/drop.coord.log"; then
   fail_plan drop "at=2:drop" "coordinator never re-admitted the worker"
 fi

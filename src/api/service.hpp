@@ -167,7 +167,7 @@ struct WorkerInfoResponse {
   std::size_t architectures = 0;  ///< standard-suite size
   long pid = 0;
   /// Milliseconds since this Service was constructed. Together with `pid`
-  /// the coordinator's health probes distinguish a restarted worker (new
+  /// the coordinator's reconnects distinguish a restarted worker (new
   /// pid, small uptime) from one that merely dropped a connection.
   long uptime_ms = 0;
 };

@@ -68,7 +68,7 @@ int connect_socket(const ListenAddress& address);
 /// Non-transient failures (resolution errors, EACCES, ...) are never
 /// retried. The default is a single attempt — identical to the plain
 /// overload — so callers opt in explicitly (`rsp_cli connect --retry`,
-/// the coordinator's worker links and health probes).
+/// the coordinator's worker links and their reconnects).
 using ConnectOptions = util::RetryPolicy;
 
 int connect_socket(const ListenAddress& address,

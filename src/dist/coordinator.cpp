@@ -15,7 +15,6 @@
 #include <optional>
 #include <ostream>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 
 #include "api/protocol.hpp"
@@ -27,25 +26,37 @@ namespace rsp::dist {
 
 // ------------------------------------------------------------ run plumbing
 
-/// One per-run worker connection. The owning phase thread is the only
-/// reader/writer of the streams; the shared PhaseState mutex covers every
-/// field the merge and accounting paths read. Links live in a std::deque
-/// so the prober can append re-admitted connections mid-phase without
-/// invalidating the pointers running worker threads hold.
+/// One per-run worker connection, closed while its worker is away. Only
+/// the link's own phase thread touches it while a phase runs; the run
+/// reads it between phases and after the joins.
 struct DseCoordinator::WorkerLink {
   std::size_t index = 0;  ///< into addresses_ / worker_stats_
-  api::ListenAddress address;
   int fd = -1;
   std::unique_ptr<api::SocketStreamBuf> buf;
   std::unique_ptr<std::istream> in;
   std::unique_ptr<std::ostream> out;
-  bool alive = false;
   long next_id = 0;
   std::string last_error;
+  /// Failed shards and failed reconnects since the last completed shard;
+  /// at redispatch.attempts the link stays down for the rest of the run.
+  int failures = 0;
   // Run-local counters, folded into worker_stats_ once per run.
   long shards = 0;
   long retries = 0;
   long busy_ms = 0;
+
+  WorkerLink() = default;
+  WorkerLink(const WorkerLink&) = delete;
+  WorkerLink& operator=(const WorkerLink&) = delete;
+  ~WorkerLink() { close(); }
+
+  void close() {
+    in.reset();
+    out.reset();
+    buf.reset();
+    if (fd >= 0) ::close(fd);
+    fd = -1;
+  }
 };
 
 struct DseCoordinator::Shard {
@@ -54,27 +65,22 @@ struct DseCoordinator::Shard {
   int attempts = 0;  ///< transport failures so far
 };
 
-/// The pull queue one phase's worker threads drain. Workers pop shards
-/// when ready (work stealing by construction: a slow worker simply pulls
-/// less), push failed shards back for the survivors, and wait on the
-/// condition while peers still have shards in flight — an in-flight shard
-/// may yet be re-queued. The prober thread shares the same mutex/condition:
-/// quarantine events wake it, and it appends re-admitted links and their
-/// worker threads under the same lock.
+/// The pull queue one phase's link threads drain. Threads pop shards when
+/// ready (work stealing by construction: a slow worker simply pulls
+/// less), push failed shards back for any link, and wait on the condition
+/// while peers still have shards in flight — an in-flight shard may yet be
+/// re-queued.
 struct DseCoordinator::PhaseState {
   util::Mutex mu;
   std::condition_variable_any cv;
   std::deque<Shard> queue RSP_GUARDED_BY(mu);
-  /// Shards out of remote attempts (or stranded when every worker was
-  /// lost), destined for the in-process fallback after the joins.
+  /// Shards out of remote attempts (and, once every link is down, those
+  /// still queued), destined for the in-process fallback after the joins.
   std::deque<Shard> local_queue RSP_GUARDED_BY(mu);
   /// Shards queued or in flight *remotely*.
   std::size_t pending RSP_GUARDED_BY(mu) = 0;
-  int active_workers RSP_GUARDED_BY(mu) = 0;
   bool failed RSP_GUARDED_BY(mu) = false;
   std::string error RSP_GUARDED_BY(mu);
-  /// Most recent transport failure, for messages.
-  std::string last_loss RSP_GUARDED_BY(mu);
   long redispatched RSP_GUARDED_BY(mu) = 0;
   /// op/kernels/config/mode — identical for every shard of the phase;
   /// begin/end and the envelope are stamped per request.
@@ -88,12 +94,21 @@ struct DseCoordinator::PhaseState {
   /// completion order (slot writes make order irrelevant). Throws
   /// rsp::Error on malformed or inconsistent payloads — fatal.
   std::function<void(const Shard&, const util::Json&)> apply;
-  /// The run's link deque — the prober appends re-admitted links here.
-  std::deque<WorkerLink>* links = nullptr;
-  /// Every worker thread of the phase, the prober's re-admissions
-  /// included; grows only under `mu`, joined after the prober exits.
-  std::vector<std::thread> threads RSP_GUARDED_BY(mu);
 };
+
+namespace {
+
+/// The error of an in-band {"ok": false} response; nullopt when ok.
+std::optional<std::string> rejection(const util::Json& response) {
+  if (response.contains("ok") && response.at("ok").is_bool() &&
+      response.at("ok").as_bool())
+    return std::nullopt;
+  return response.contains("error") && response.at("error").is_string()
+             ? response.at("error").as_string()
+             : response.dump();
+}
+
+}  // namespace
 
 DseCoordinator::DseCoordinator(std::vector<api::ListenAddress> workers,
                                CoordinatorOptions options)
@@ -108,29 +123,23 @@ DseCoordinator::DseCoordinator(std::vector<api::ListenAddress> workers,
     throw InvalidArgumentError("'request_timeout_ms' must be non-negative");
   options_.redispatch.validate("'redispatch'");
   options_.connect.validate("'connect'");
-  options_.probe.validate("'probe'");
-  if (options_.circuit_breaker_failures < 1)
-    throw InvalidArgumentError(
-        "'circuit_breaker_failures' must be positive");
 }
 
 DseCoordinator::~DseCoordinator() = default;
 
-DseCoordinator::LinkResult DseCoordinator::open_link(
-    std::size_t index, const api::ConnectOptions& policy, WorkerLink& link,
-    std::string& error) {
-  link.index = index;
-  link.address = addresses_[index];
+bool DseCoordinator::open_link(WorkerLink& link,
+                               const api::ConnectOptions& policy) {
+  const api::ListenAddress& address = addresses_[link.index];
   try {
-    link.fd = api::connect_socket(link.address, policy);
+    link.fd = api::connect_socket(address, policy);
   } catch (const std::exception& e) {
-    error = e.what();
-    return LinkResult::kTransport;
+    link.last_error = e.what();
+    return false;
   }
   if (options_.request_timeout_ms > 0) {
     // Per-request timeout: a stalled worker surfaces as a failed
     // recv/send, which the transport-failure path turns into a
-    // quarantine + redispatch.
+    // closed link + redispatch.
     timeval tv{};
     tv.tv_sec = options_.request_timeout_ms / 1000;
     tv.tv_usec =
@@ -149,88 +158,43 @@ DseCoordinator::LinkResult DseCoordinator::open_link(
   probe.set("op", "worker_info");
   util::Json info;
   if (!round_trip(link, std::move(probe), info)) {
-    error = "worker '" + link.address.spec() +
-            "' handshake failed: " + link.last_error;
-    ::close(link.fd);
-    link.fd = -1;
-    return LinkResult::kTransport;
+    link.last_error =
+        "worker '" + address.spec() + "' handshake failed: " + link.last_error;
+    link.close();
+    return false;
   }
-  const bool ok = info.contains("ok") && info.at("ok").is_bool() &&
-                  info.at("ok").as_bool();
-  if (!ok) {
-    const std::string why =
-        info.contains("error") && info.at("error").is_string()
-            ? info.at("error").as_string()
-            : info.dump();
-    error = "worker '" + link.address.spec() +
-            "' refused the worker_info handshake: " + why;
-    ::close(link.fd);
-    link.fd = -1;
-    return LinkResult::kRefused;
-  }
+  if (const std::optional<std::string> why = rejection(info))
+    // Deterministic misconfiguration (wrong binary, a pre-dist server):
+    // every reconnect and every run would be refused identically.
+    throw Error("worker '" + address.spec() +
+                "' refused the worker_info handshake: " + *why);
   long pid = 0;
   if (info.contains("pid") && info.at("pid").is_number())
     pid = static_cast<long>(info.at("pid").as_number());
-  link.alive = true;
-  {
-    const util::MutexLock lk(mu_);
-    WorkerStats& stats = worker_stats_[index];
-    if (pid != 0 && stats.last_pid != 0 && stats.last_pid != pid)
-      RSP_LOG(kInfo) << "worker '" << link.address.spec()
-                     << "' restarted (pid " << stats.last_pid << " -> "
-                     << pid << ")";
-    if (pid != 0) stats.last_pid = pid;
-    stats.alive = true;
-  }
-  return LinkResult::kOk;
+  const util::MutexLock lk(mu_);
+  WorkerStats& stats = worker_stats_[link.index];
+  if (pid != 0 && stats.last_pid != 0 && stats.last_pid != pid)
+    RSP_LOG(kInfo) << "worker '" << address.spec() << "' restarted (pid "
+                   << stats.last_pid << " -> " << pid << ")";
+  if (pid != 0) stats.last_pid = pid;
+  stats.alive = true;
+  return true;
 }
 
-std::deque<DseCoordinator::WorkerLink> DseCoordinator::connect_workers() {
-  std::deque<WorkerLink> links;
-  std::size_t connected = 0;
-  std::string first_error;
-  try {
-    for (std::size_t i = 0; i < addresses_.size(); ++i) {
-      WorkerLink link;
-      std::string error;
-      const LinkResult result = open_link(i, options_.connect, link, error);
-      if (result == LinkResult::kRefused)
-        // Deterministic misconfiguration (wrong binary, a pre-dist
-        // server): every retry and every run would be refused
-        // identically, so no quarantine — fail loudly now.
-        throw Error(error);
-      if (result == LinkResult::kTransport) {
-        // Unreachable is a fleet-health event, not a run-fatal one: the
-        // health prober keeps trying mid-run, and the survivors (or the
-        // local fallback) carry the shards meanwhile.
-        const util::MutexLock lk(mu_);
-        WorkerStats& stats = worker_stats_[i];
-        if (!stats.in_quarantine) {
-          stats.in_quarantine = true;
-          ++stats.quarantined;
-        }
-        ++stats.consecutive_failures;
-        stats.alive = false;
-        if (first_error.empty()) first_error = error;
-        RSP_LOG(kWarning) << "worker '" << addresses_[i].spec()
-                          << "' unreachable at run start, quarantined: "
-                          << error;
-        continue;
-      }
-      {
-        const util::MutexLock lk(mu_);
-        worker_stats_[i].in_quarantine = false;
-      }
-      ++connected;
-      links.push_back(std::move(link));
-    }
-  } catch (...) {
-    for (WorkerLink& link : links)
-      if (link.fd >= 0) ::close(link.fd);
-    throw;
+std::vector<DseCoordinator::WorkerLink> DseCoordinator::connect_workers() {
+  std::vector<WorkerLink> links(addresses_.size());
+  for (std::size_t i = 0; i < links.size(); ++i) {
+    links[i].index = i;
+    if (open_link(links[i], options_.connect)) continue;
+    // Unreachable is a fleet-health event, not a run-fatal one: the link
+    // starts closed with one failure charged, its thread retries on the
+    // next pull, and the other links (or the local fallback) carry the
+    // shards meanwhile.
+    RSP_LOG(kWarning) << "worker '" << addresses_[i].spec()
+                      << "' unreachable at run start: "
+                      << links[i].last_error;
+    take_down(links[i]);
   }
-  if (connected == 0 && !options_.local_fallback)
-    throw Error("cannot reach any worker (first: " + first_error + ")");
   return links;
 }
 
@@ -275,239 +239,138 @@ bool DseCoordinator::round_trip(WorkerLink& link, util::Json request,
   return true;
 }
 
-void DseCoordinator::quarantine_worker(WorkerLink& link, PhaseState& state)
-    RSP_REQUIRES(state.mu) {
-  link.alive = false;
-  --state.active_workers;
-  state.last_loss = link.last_error;
+void DseCoordinator::charge(WorkerLink& link) {
+  if (++link.failures < options_.redispatch.attempts) return;
+  RSP_LOG(kWarning) << options_.redispatch.give_up(
+                           "link to worker '" +
+                               addresses_[link.index].spec() + "'",
+                           link.last_error)
+                    << " (down for the rest of the run)";
+}
+
+void DseCoordinator::take_down(WorkerLink& link) {
+  link.close();
+  charge(link);
   const util::MutexLock lk(mu_);
   WorkerStats& stats = worker_stats_[link.index];
-  if (!stats.in_quarantine) {
-    stats.in_quarantine = true;
-    ++stats.quarantined;
-  }
-  ++stats.consecutive_failures;
+  ++stats.quarantined;
   stats.alive = false;
 }
 
+bool DseCoordinator::reconnect(WorkerLink& link) {
+  options_.redispatch.sleep_before_retry(link.failures);
+  {
+    const util::MutexLock lk(mu_);
+    ++worker_stats_[link.index].probes;
+  }
+  const std::string spec = addresses_[link.index].spec();
+  if (!open_link(link, api::ConnectOptions{1, 0})) {
+    RSP_LOG(kWarning) << "worker '" << spec
+                      << "' reconnect failed: " << link.last_error;
+    charge(link);
+    return false;
+  }
+  {
+    const util::MutexLock lk(mu_);
+    ++worker_stats_[link.index].readmitted;
+  }
+  // kWarning like the loss that preceded it: the pair of lines is the
+  // operator's (and chaos_smoke.sh's) record of the outage.
+  RSP_LOG(kWarning) << "worker '" << spec << "' re-admitted to the run";
+  return true;
+}
+
 void DseCoordinator::worker_loop(WorkerLink& link, PhaseState& state) {
-  for (;;) {
-    Shard shard;
-    {
-      util::MutexLock lk(state.mu);
-      lk.wait(state.cv, [&]() RSP_REQUIRES(state.mu) {
-        return state.failed || !state.queue.empty() || state.pending == 0;
-      });
-      // Queue empty with nothing in flight = phase done; an in-flight
-      // shard elsewhere may still be re-queued, so keep waiting for it.
-      if (state.failed || state.queue.empty()) return;
-      shard = state.queue.front();
-      state.queue.pop_front();
-    }
-    if (shard.attempts > 0)
-      options_.redispatch.sleep_before_retry(shard.attempts);
+  const std::string spec = addresses_[link.index].spec();
+  try {
+    while (link.failures < options_.redispatch.attempts) {
+      Shard shard;
+      {
+        util::MutexLock lk(state.mu);
+        lk.wait(state.cv, [&]() RSP_REQUIRES(state.mu) {
+          return state.failed || !state.queue.empty() || state.pending == 0;
+        });
+        // Queue empty with nothing in flight = phase done; an in-flight
+        // shard elsewhere may still be re-queued, so keep waiting for it.
+        if (state.failed || state.queue.empty()) return;
+        shard = state.queue.front();
+        state.queue.pop_front();
+      }
+      if (link.fd < 0 && !reconnect(link)) {
+        // The worker is still away: the shard goes back where it was,
+        // uncharged — the failure was the link's, not the shard's.
+        const util::MutexLock lk(state.mu);
+        state.queue.push_front(shard);
+        state.cv.notify_all();
+        continue;
+      }
+      if (shard.attempts > 0)
+        options_.redispatch.sleep_before_retry(shard.attempts);
 
-    util::Json request = state.request_template;
-    request.set("begin", static_cast<std::int64_t>(shard.begin));
-    request.set("end", static_cast<std::int64_t>(shard.end));
+      util::Json request = state.request_template;
+      request.set("begin", static_cast<std::int64_t>(shard.begin));
+      request.set("end", static_cast<std::int64_t>(shard.end));
 
-    util::Json response;
-    if (!round_trip(link, std::move(request), response)) {
-      // Transport failure: quarantine the worker (the prober may bring it
-      // — or a restarted successor — back) and put the shard back for the
-      // survivors, under the bounded redispatch policy.
-      const std::string shard_name = "shard [" +
-                                     std::to_string(shard.begin) + ", " +
-                                     std::to_string(shard.end) + ")";
-      const util::MutexLock lk(state.mu);
-      ++link.retries;
-      quarantine_worker(link, state);
-      ++shard.attempts;
-      if (!options_.redispatch.should_retry(shard.attempts)) {
-        if (options_.local_fallback) {
+      util::Json response;
+      if (round_trip(link, std::move(request), response)) {
+        const util::MutexLock lk(state.mu);
+        if (state.failed) return;
+        // An in-band rejection is fatal, not retryable: shard requests are
+        // deterministic, so every worker would reject them identically.
+        if (const std::optional<std::string> why = rejection(response))
+          throw Error("worker " + spec + " rejected shard: " + *why);
+        state.apply(shard, response);
+        link.failures = 0;
+        ++link.shards;
+        --state.pending;
+        state.cv.notify_all();
+        continue;
+      }
+
+      // Transport failure: the shard goes back for any link, under the
+      // bounded redispatch policy, and the link goes down (its next pull
+      // reconnects).
+      const std::string shard_name = "shard [" + std::to_string(shard.begin) +
+                                     ", " + std::to_string(shard.end) + ")";
+      {
+        const util::MutexLock lk(state.mu);
+        ++shard.attempts;
+        if (options_.redispatch.should_retry(shard.attempts)) {
+          state.queue.push_back(shard);
+          ++state.redispatched;
+          RSP_LOG(kWarning) << "worker " << spec << " lost, re-dispatching "
+                            << shard_name << ": " << link.last_error;
+        } else if (options_.local_fallback) {
           state.local_queue.push_back(shard);
           --state.pending;
-          RSP_LOG(kWarning)
-              << shard_name << " out of remote attempts, queued for "
-              << "local evaluation (last: " << link.last_error << ")";
+          RSP_LOG(kWarning) << shard_name << " out of remote attempts, "
+                            << "queued for local evaluation (last: "
+                            << link.last_error << ")";
         } else {
           state.failed = true;
           state.error =
               options_.redispatch.give_up(shard_name, link.last_error);
         }
-      } else {
-        state.queue.push_back(shard);
-        ++state.redispatched;
-        RSP_LOG(kWarning) << "worker " << link.address.spec()
-                          << " lost, re-dispatching " << shard_name << ": "
-                          << link.last_error;
+        state.cv.notify_all();
       }
-      state.cv.notify_all();
-      return;
+      ++link.retries;
+      take_down(link);
     }
-
+  } catch (const std::exception& e) {
+    // A refused handshake, a rejected shard or a malformed payload: fatal
+    // for the whole phase.
     const util::MutexLock lk(state.mu);
-    if (state.failed) return;
-    try {
-      // An in-band rejection is fatal, not retryable: shard requests are
-      // deterministic, so every worker would reject them identically.
-      const bool ok = response.contains("ok") &&
-                      response.at("ok").is_bool() &&
-                      response.at("ok").as_bool();
-      if (!ok) {
-        const std::string why =
-            response.contains("error") && response.at("error").is_string()
-                ? response.at("error").as_string()
-                : response.dump();
-        throw Error("worker " + link.address.spec() +
-                    " rejected shard: " + why);
-      }
-      state.apply(shard, response);
-    } catch (const std::exception& e) {
+    if (!state.failed) {
       state.failed = true;
       state.error = e.what();
-      state.cv.notify_all();
-      return;
-    }
-    ++link.shards;
-    --state.pending;
-    {
-      // A completed shard is the one event that resets the circuit
-      // breaker: the worker proved it can do real work again.
-      const util::MutexLock stats_lk(mu_);
-      worker_stats_[link.index].consecutive_failures = 0;
     }
     state.cv.notify_all();
   }
 }
 
-void DseCoordinator::prober_loop(PhaseState& state) {
-  using Clock = std::chrono::steady_clock;
-  // Per-phase probe schedule; a fresh quarantine (or a successful
-  // re-admission followed by a later loss) restarts a worker's budget.
-  struct Slot {
-    int attempts = 0;
-    Clock::time_point next;  ///< default epoch: due immediately
-    bool exhausted = false;
-  };
-  std::unordered_map<std::size_t, Slot> slots;
-
-  util::MutexLock lk(state.mu);
-  for (;;) {
-    if (state.failed || state.pending == 0) return;
-
-    // Snapshot the probe-eligible quarantined workers (stats lock nests
-    // inside state.mu).
-    std::vector<std::size_t> candidates;
-    {
-      const util::MutexLock stats_lk(mu_);
-      for (std::size_t i = 0; i < addresses_.size(); ++i) {
-        const WorkerStats& stats = worker_stats_[i];
-        if (!stats.in_quarantine) continue;
-        if (stats.consecutive_failures >= options_.circuit_breaker_failures)
-          continue;  // breaker open: stop probing a flapper
-        if (slots[i].exhausted) continue;
-        candidates.push_back(i);
-      }
-    }
-
-    const auto now = Clock::now();
-    std::size_t due = addresses_.size();  // sentinel: nobody due yet
-    auto earliest = now + std::chrono::hours(1);
-    for (const std::size_t i : candidates) {
-      const Slot& slot = slots[i];
-      if (slot.next <= now) {
-        due = i;
-        break;
-      }
-      earliest = std::min(earliest, slot.next);
-    }
-
-    if (due == addresses_.size()) {
-      if (!candidates.empty()) {
-        // Everyone eligible is backing off; sleep until the earliest
-        // probe comes due (or the phase resolves).
-        lk.wait_until(state.cv, earliest);
-        continue;
-      }
-      if (state.active_workers > 0) {
-        // Nothing to probe while the survivors work; a quarantine event
-        // or the end of the phase wakes us.
-        lk.wait(state.cv);
-        continue;
-      }
-      // Endgame: every worker is lost (or breaker-open, or out of probe
-      // budget) and shards are still pending — nothing is in flight, so
-      // the queue holds them all. Finish the run locally, or abort.
-      if (options_.local_fallback) {
-        while (!state.queue.empty()) {
-          state.local_queue.push_back(state.queue.front());
-          state.queue.pop_front();
-          --state.pending;
-        }
-      } else {
-        state.failed = true;
-        state.error = "all workers lost with shards pending (last: " +
-                      state.last_loss + ")";
-      }
-      state.cv.notify_all();
-      return;
-    }
-
-    // Probe `due` outside both locks: one single-shot connect+handshake.
-    Slot& slot = slots[due];
-    ++slot.attempts;
-    {
-      const util::MutexLock stats_lk(mu_);
-      ++worker_stats_[due].probes;
-    }
-    lk.unlock();
-    WorkerLink fresh;
-    std::string error;
-    const api::ConnectOptions single_attempt{1, 0};
-    const LinkResult result = open_link(due, single_attempt, fresh, error);
-    lk.lock();
-
-    if (result == LinkResult::kOk) {
-      slot.attempts = 0;  // a later quarantine gets a fresh budget
-      state.links->push_back(std::move(fresh));
-      WorkerLink& link = state.links->back();
-      {
-        const util::MutexLock stats_lk(mu_);
-        WorkerStats& stats = worker_stats_[due];
-        stats.in_quarantine = false;
-        ++stats.readmitted;
-      }
-      // kWarning like the quarantine that preceded it: the pair of lines
-      // is the operator's (and chaos_smoke.sh's) record of the outage.
-      RSP_LOG(kWarning) << "worker '" << link.address.spec()
-                        << "' re-admitted to the run";
-      if (!state.failed && state.pending > 0) {
-        ++state.active_workers;
-        state.threads.emplace_back(
-            [this, &link, &state] { worker_loop(link, state); });
-      }
-      state.cv.notify_all();
-      continue;
-    }
-    // kRefused is deterministic (see connect_workers): further probes
-    // would be refused identically, so stop wasting them. Transport
-    // failures back off under the probe policy.
-    if (result == LinkResult::kRefused ||
-        !options_.probe.should_retry(slot.attempts)) {
-      slot.exhausted = true;
-      RSP_LOG(kWarning) << options_.probe.give_up(
-          "health probe of worker '" + addresses_[due].spec() + "'", error);
-    } else {
-      slot.next = Clock::now() + std::chrono::milliseconds(
-                                     options_.probe.delay_ms(slot.attempts));
-    }
-  }
-}
-
-void DseCoordinator::run_phase(std::deque<WorkerLink>& links,
+void DseCoordinator::run_phase(std::vector<WorkerLink>& links,
                                PhaseState& state, const char* phase) {
-  // The locks below this point are uncontended until the worker threads
+  // The locks below this point are uncontended until the link threads
   // start (and again after the joins) — they exist so every access to the
   // phase's guarded state is under state.mu, which is what the
   // thread-safety analysis checks.
@@ -516,52 +379,30 @@ void DseCoordinator::run_phase(std::deque<WorkerLink>& links,
     if (state.queue.empty()) return;
     state.pending = state.queue.size();
   }
-  state.links = &links;
-  std::vector<WorkerLink*> alive;
+  std::vector<std::thread> threads;
+  threads.reserve(links.size());
   for (WorkerLink& link : links)
-    if (link.alive) alive.push_back(&link);
-
-  if (alive.empty()) {
-    // The whole fleet is already gone (lost in an earlier phase, or
-    // unreachable from the start): the run continues in-process, or not
-    // at all.
-    if (!options_.local_fallback)
-      throw Error(std::string("no live workers left for the ") + phase +
-                  " phase");
-    const util::MutexLock lk(state.mu);
-    while (!state.queue.empty()) {
-      state.local_queue.push_back(state.queue.front());
-      state.queue.pop_front();
-    }
-    state.pending = 0;
-  } else {
-    {
-      const util::MutexLock lk(state.mu);
-      state.active_workers = static_cast<int>(alive.size());
-      state.threads.reserve(alive.size() + 1);
-      for (WorkerLink* link : alive)
-        state.threads.emplace_back(
-            [this, link, &state] { worker_loop(*link, state); });
-    }
-    std::thread prober([this, &state] { prober_loop(state); });
-    // The prober exits only once the phase is resolved (done, failed, or
-    // handed to the local fallback), so after this join the thread vector
-    // is final and every worker thread is on its way out. The joins happen
-    // outside state.mu — a worker's last iteration still takes it.
-    prober.join();
-    std::vector<std::thread> to_join;
-    {
-      const util::MutexLock lk(state.mu);
-      to_join.swap(state.threads);
-    }
-    for (std::thread& t : to_join) t.join();
-  }
+    threads.emplace_back([this, &link, &state] { worker_loop(link, state); });
+  for (std::thread& t : threads) t.join();
 
   {
     const util::MutexLock lk(state.mu);
     {
       const util::MutexLock stats_lk(mu_);
       redispatched_ += state.redispatched;
+    }
+    // Every thread has returned, so shards still queued mean every link
+    // is down: finish them locally, or abort.
+    if (!state.failed && !state.queue.empty()) {
+      if (options_.local_fallback) {
+        state.local_queue.insert(state.local_queue.end(), state.queue.begin(),
+                                 state.queue.end());
+        state.queue.clear();
+      } else {
+        state.failed = true;
+        state.error = "all workers lost with shards pending (last: " +
+                      links.back().last_error + ")";
+      }
     }
     if (state.failed)
       throw Error(std::string("distributed ") + phase +
@@ -600,7 +441,7 @@ void DseCoordinator::drain_locally(PhaseState& state, const char* phase) {
   }
 }
 
-void DseCoordinator::fold_stats(const std::deque<WorkerLink>& links) {
+void DseCoordinator::fold_stats(const std::vector<WorkerLink>& links) {
   const util::MutexLock lk(mu_);
   ++runs_;
   for (const WorkerLink& link : links) {
@@ -609,11 +450,10 @@ void DseCoordinator::fold_stats(const std::deque<WorkerLink>& links) {
     stats.retries += link.retries;
     stats.busy_ms += link.busy_ms;
     shards_ += link.shards;
+    // A link down at the end was lost to *this* run; the next run's
+    // connect gives its worker a fresh chance.
+    if (link.fd < 0) ++workers_lost_;
   }
-  // A worker still quarantined when the run ends was lost to *this* run;
-  // the next run's connect (or its prober) gives it a fresh chance.
-  for (const WorkerStats& stats : worker_stats_)
-    if (stats.in_quarantine) ++workers_lost_;
 }
 
 // ------------------------------------------------------------------- runs
@@ -666,7 +506,7 @@ api::DseResponse DseCoordinator::dse(const api::DseRequest& request) {
   const arch::Architecture base = explorer.base_architecture();
   const std::size_t num_kernels = domain.size();
 
-  std::deque<WorkerLink> links = connect_workers();
+  std::vector<WorkerLink> links = connect_workers();
   try {
     // Phase 1: estimate shards over the whole grid. Workers return
     // integer cycle sums only; slot i always receives enumeration index
@@ -786,13 +626,9 @@ api::DseResponse DseCoordinator::dse(const api::DseRequest& request) {
     explorer.select_optimum(result);
   } catch (...) {
     fold_stats(links);
-    for (WorkerLink& link : links)
-      if (link.fd >= 0) ::close(link.fd);
     throw;
   }
   fold_stats(links);
-  for (WorkerLink& link : links)
-    if (link.fd >= 0) ::close(link.fd);
   return resp;
 }
 

@@ -22,35 +22,40 @@
 // count, shard size, completion order, retries, worker death, re-admission
 // or local fallback.
 //
-// Failure model (a resilient fleet, not a happy-path loop):
-//   * connections are opened per run with bounded connect retries
-//     (`connect`, a util::RetryPolicy) and a `worker_info` handshake;
-//     per-request SO_RCVTIMEO/SO_SNDTIMEO timeouts bound every round trip;
+// Failure model: one pull loop per worker link. Each run opens one
+// connection (a WorkerLink) per address, with bounded connect retries
+// (`connect`) and a `worker_info` handshake; per-request
+// SO_RCVTIMEO/SO_SNDTIMEO timeouts bound every round trip. Each phase
+// runs exactly one thread per link, and nothing else:
+//   * the thread pulls a shard; if its link is closed it first
+//     reconnects — one connect attempt plus the handshake, after
+//     `redispatch.delay_ms(failures)`. A successful reconnect re-admits
+//     the worker (a restarted process, new pid in the handshake, rejoins
+//     transparently); a failed one returns the shard, uncharged, to the
+//     front of the queue;
 //   * a transport failure (reset, EOF, timeout, malformed or mismatched
-//     response) *quarantines* that worker instead of dropping it: its
-//     shard is re-queued for the survivors under the bounded `redispatch`
-//     policy, while a health-prober thread re-probes the quarantined
-//     address (bounded-backoff `worker_info` probes, the `probe` policy)
-//     and re-admits the worker mid-run on success — a restarted process
-//     (new pid in the handshake) rejoins transparently. A worker still
-//     quarantined when a run ends is retried afresh on the next run's
-//     connect, so re-admission also happens across runs;
-//   * a worker that keeps failing shards trips a per-worker circuit
-//     breaker after `circuit_breaker_failures` consecutive failures and is
-//     no longer probed (a completed shard resets the count) — a flapping
-//     worker cannot consume the run in probe/re-admit/die loops;
+//     response) closes the link, counts one failure against it, and
+//     re-queues the shard for any link under the per-shard `redispatch`
+//     budget; a shard out of attempts is evaluated locally (or aborts the
+//     run, see `local_fallback`);
+//   * a completed shard resets its link's failure count. A link that
+//     reaches `redispatch.attempts` consecutive failures (failed shards
+//     and failed reconnects alike; an address unreachable at run start
+//     begins at one) stays down for the rest of the run, so a flapping
+//     worker cannot consume the run in reconnect/die loops. The next
+//     run's connect tries it again from scratch;
 //   * an in-band {"ok": false} rejection — of the handshake or of a shard
 //     — is fatal: requests are deterministic, so every worker would
-//     reject them identically; no quarantine, no retry;
-//   * when every worker is lost (or unreachable from the start) with
-//     shards still pending, the coordinator *finishes the run itself*:
-//     remaining shards are computed in-process through the same
-//     Service::dse_shard code the workers run, so the result is still
-//     bit-identical. `local_fallback = false` opts out and restores the
-//     hard "all workers lost" abort.
+//     reject them identically; no retry;
+//   * when the phase's threads have all returned and shards are still
+//     queued (every link is down), the coordinator *finishes the run
+//     itself*: those shards, and any out of attempts, are computed
+//     in-process through the same Service::dse_shard code the workers
+//     run, so the result is still bit-identical. `local_fallback = false`
+//     opts out: the run aborts with "all workers lost with shards
+//     pending".
 #pragma once
 
-#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
@@ -71,26 +76,18 @@ struct CoordinatorOptions {
   /// Per-request send/receive timeout; a worker that stalls longer is
   /// treated as dead and its shard re-dispatched.
   int request_timeout_ms = 30000;
-  /// Per-shard dispatch budget: a shard may fail transport `attempts`
-  /// times in total (with the policy's backoff before each re-send)
-  /// before it stops being re-dispatched — it bounds the damage of a
-  /// shard that kills every worker it visits. An exhausted shard falls
-  /// back to local evaluation (or aborts the run, see `local_fallback`).
+  /// The failure budget of one shard and of one worker link. A shard may
+  /// fail transport `attempts` times in total (with the policy's backoff
+  /// before each re-send) before it stops being re-dispatched — it bounds
+  /// the damage of a shard that kills every worker it visits; an exhausted
+  /// shard falls back to local evaluation (or aborts the run, see
+  /// `local_fallback`). A link that fails `attempts` times in a row stays
+  /// down for the rest of the run; its reconnects wait the same backoff.
   util::RetryPolicy redispatch{3, 10};
   /// Connect policy for the per-run worker connections. Retries are on by
   /// default here (unlike `rsp_cli connect`): coordinators routinely race
   /// freshly spawned workers to the bind.
   api::ConnectOptions connect{40, 25};
-  /// Health-probe policy for quarantined workers: per phase, each
-  /// quarantined worker gets `attempts` single-shot worker_info probes
-  /// with exponential backoff between them; a successful probe re-admits
-  /// the worker into the running phase.
-  util::RetryPolicy probe{4, 25, util::RetryPolicy::Backoff::kExponential,
-                          2000};
-  /// Consecutive shard-level failures (never reset by a mere handshake —
-  /// only by a *completed* shard) after which a worker stops being
-  /// health-probed: the flapping-worker circuit breaker.
-  int circuit_breaker_failures = 3;
   /// When every worker is lost with shards pending, compute the remaining
   /// shards in-process instead of aborting (see header comment).
   bool local_fallback = true;
@@ -118,7 +115,11 @@ class DseCoordinator {
   /// set_dist_extension): {"workers": [{"address", "shards", "retries",
   /// "busy_ms", "quarantined", "readmitted", "probes", "alive"}...],
   /// "runs", "shards", "redispatched", "workers_lost",
-  /// "local_fallback_shards"}. Counters aggregate across runs.
+  /// "local_fallback_shards"}. Counters aggregate across runs; per worker,
+  /// "quarantined" counts the times its link went down, "probes" its
+  /// reconnect attempts and "readmitted" the successful ones, and the
+  /// run-level "workers_lost" counts links that were down when a run
+  /// ended.
   util::Json stats_json() const;
 
   const std::vector<api::ListenAddress>& workers() const {
@@ -130,36 +131,30 @@ class DseCoordinator {
   struct Shard;        // one [begin, end) work item
   struct PhaseState;   // the pull queue one phase's workers drain
 
-  /// Outcome of opening one worker connection (connect + handshake).
-  enum class LinkResult {
-    kOk,         ///< connected, handshake accepted
-    kTransport,  ///< unreachable / died mid-handshake — quarantineable
-    kRefused,    ///< in-band handshake rejection — deterministic, fatal
-  };
-
-  /// Connects addresses_[index] under `policy` and runs the worker_info
-  /// handshake into `link`. On kOk the link is open and `alive`; otherwise
-  /// `error` explains and the fd is closed.
-  LinkResult open_link(std::size_t index, const api::ConnectOptions& policy,
-                       WorkerLink& link, std::string& error);
-  std::deque<WorkerLink> connect_workers();
-  void run_phase(std::deque<WorkerLink>& links, PhaseState& state,
+  /// Connects addresses_[link.index] under `policy` and runs the
+  /// worker_info handshake. Returns false, with link.last_error set and
+  /// the link closed, on a transport failure; throws rsp::Error when the
+  /// worker refuses the handshake in-band.
+  bool open_link(WorkerLink& link, const api::ConnectOptions& policy);
+  std::vector<WorkerLink> connect_workers();
+  void run_phase(std::vector<WorkerLink>& links, PhaseState& state,
                  const char* phase) RSP_REQUIRES(run_mu_);
   void worker_loop(WorkerLink& link, PhaseState& state);
-  /// The per-phase health prober: re-admits quarantined workers mid-run,
-  /// and resolves the all-workers-lost endgame (local fallback or abort).
-  void prober_loop(PhaseState& state);
+  /// Reconnects a closed link (one connect attempt plus the handshake,
+  /// after the link's backoff); false when the worker is still away.
+  bool reconnect(WorkerLink& link);
+  /// Closes `link` and charges it one failure: the link went down.
+  void take_down(WorkerLink& link);
+  /// Counts one failure against `link`; logs when that exhausts its budget.
+  void charge(WorkerLink& link);
   bool round_trip(WorkerLink& link, util::Json request,
                   util::Json& response);
-  /// Marks `link`'s worker lost for now (stats + phase accounting); called
-  /// under state.mu.
-  void quarantine_worker(WorkerLink& link, PhaseState& state);
   /// Computes state.local_queue in-process through Service::dse_shard and
   /// the phase's own apply — the byte-identical fallback path.
   void drain_locally(PhaseState& state, const char* phase)
       RSP_REQUIRES(run_mu_);
   api::Service& local_service() RSP_REQUIRES(run_mu_);
-  void fold_stats(const std::deque<WorkerLink>& links);
+  void fold_stats(const std::vector<WorkerLink>& links);
 
   const std::vector<api::ListenAddress> addresses_;
   const CoordinatorOptions options_;
@@ -174,17 +169,13 @@ class DseCoordinator {
   /// *inside* PhaseState::mu — never take state.mu while holding mu_.
   struct WorkerStats {
     long shards = 0;       ///< shards completed, all runs
-    long retries = 0;      ///< transport failures charged to this worker
+    long retries = 0;      ///< shard transport failures on this worker
     long busy_ms = 0;      ///< summed round-trip latency
-    long quarantined = 0;  ///< times this worker entered quarantine
-    long readmitted = 0;   ///< successful mid-run re-admissions
-    long probes = 0;       ///< health probes attempted
-    /// Circuit-breaker state: shard-level failures since the last
-    /// *completed* shard (handshakes do not reset it).
-    int consecutive_failures = 0;
-    bool in_quarantine = false;  ///< currently lost, awaiting re-admission
-    long last_pid = 0;           ///< last handshake pid (restart detection)
-    bool alive = true;           ///< connected and serving right now
+    long quarantined = 0;  ///< times this worker's link went down
+    long readmitted = 0;   ///< successful reconnects
+    long probes = 0;       ///< reconnect attempts
+    long last_pid = 0;     ///< last handshake pid (restart detection)
+    bool alive = true;     ///< connected and serving right now
   };
   mutable util::Mutex mu_;
   std::vector<WorkerStats> worker_stats_ RSP_GUARDED_BY(mu_);

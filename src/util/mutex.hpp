@@ -35,31 +35,13 @@ class RSP_CAPABILITY("mutex") Mutex {
   std::mutex mu_;
 };
 
-/// Scoped lock over util::Mutex with condition-variable support. The
-/// explicit lock()/unlock() pair exists for the rare "drop the lock around
-/// a blocking call" window (see DseCoordinator::prober_loop); the
-/// destructor releases only if currently held, so destructing in the
-/// unlocked state is fine.
+/// Scoped lock over util::Mutex with condition-variable support.
 class RSP_SCOPED_CAPABILITY MutexLock {
  public:
-  explicit MutexLock(Mutex& mu) RSP_ACQUIRE(mu) : mu_(mu), held_(true) {
-    mu_.mu_.lock();
-  }
-  ~MutexLock() RSP_RELEASE() {
-    if (held_) mu_.mu_.unlock();
-  }
+  explicit MutexLock(Mutex& mu) RSP_ACQUIRE(mu) : mu_(mu) { mu_.mu_.lock(); }
+  ~MutexLock() RSP_RELEASE() { mu_.mu_.unlock(); }
   MutexLock(const MutexLock&) = delete;
   MutexLock& operator=(const MutexLock&) = delete;
-
-  /// Re-acquires after an explicit unlock().
-  void lock() RSP_ACQUIRE() {
-    mu_.mu_.lock();
-    held_ = true;
-  }
-  void unlock() RSP_RELEASE() {
-    held_ = false;
-    mu_.mu_.unlock();
-  }
 
   /// Blocks until `pred()` holds, releasing the mutex while waiting.
   /// The predicate is always evaluated with the mutex held.
@@ -78,20 +60,6 @@ class RSP_SCOPED_CAPABILITY MutexLock {
     return cv.wait_for(adapter, timeout, std::move(pred));
   }
 
-  /// Untimed single wakeup (no predicate) — callers loop themselves.
-  void wait(std::condition_variable_any& cv) {
-    Adapter adapter{mu_.mu_};
-    cv.wait(adapter);
-  }
-
-  /// Waits until `deadline` or a notification, whichever first.
-  template <typename Clock, typename Duration>
-  void wait_until(std::condition_variable_any& cv,
-                  const std::chrono::time_point<Clock, Duration>& deadline) {
-    Adapter adapter{mu_.mu_};
-    cv.wait_until(adapter, deadline);
-  }
-
  private:
   // BasicLockable view of the underlying std::mutex for
   // condition_variable_any: the cv's internal unlock/relock cycle stays
@@ -104,7 +72,6 @@ class RSP_SCOPED_CAPABILITY MutexLock {
   };
 
   Mutex& mu_;
-  bool held_;
 };
 
 }  // namespace rsp::util

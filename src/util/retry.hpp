@@ -1,6 +1,6 @@
 // One bounded, deterministic retry/backoff policy for every loop in the
-// tree that re-attempts an operation: `api::connect_socket` retries, the
-// DSE coordinator's shard redispatch, and the fleet health probes. A single
+// tree that re-attempts an operation: `api::connect_socket` retries and
+// the DSE coordinator's shard redispatch and link reconnects. A single
 // policy type gives those loops one vocabulary (attempt budget, base
 // backoff, linear/exponential growth, a per-delay cap) and one give-up
 // message shape that always names the operation and the budget, instead of
@@ -24,7 +24,7 @@ struct RetryPolicy {
   int backoff_ms = 25;
   /// kLinear: backoff_ms × k — bounded, predictable worst case (the
   /// default for connect/redispatch). kExponential: backoff_ms × 2^(k-1) —
-  /// for probes racing an unknown recovery time.
+  /// for retries racing an unknown recovery time.
   Backoff backoff = Backoff::kLinear;
   /// Cap applied to any single delay, whatever the growth curve says.
   int max_backoff_ms = 60000;

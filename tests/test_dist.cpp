@@ -2,11 +2,11 @@
 // the v2 `dse_shard`/`worker_info` codec, connect retries, and the
 // DseCoordinator end to end against in-process socket workers — including
 // the resilience paths (worker death mid-run with redispatch, scripted
-// connection drops with health-probe re-admission, the all-workers-lost
-// local fallback and its opt-out abort, in-band shard rejection). The
-// Dist* suites also run under the tsan preset: the coordinator's pull
-// queue, its prober thread and the shard executors' fan-outs are
-// exercised with ThreadSanitizer watching.
+// connection drops with reconnect-on-pull re-admission within and across
+// runs, the all-workers-lost local fallback and its opt-out abort, in-band
+// shard rejection). The Dist* suites also run under the tsan preset: the
+// coordinator's pull queue, its per-link threads and the shard executors'
+// fan-outs are exercised with ThreadSanitizer watching.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -529,7 +529,6 @@ CoordinatorOptions fast_coordinator_options() {
   options.redispatch.backoff_ms = 0;
   options.connect.attempts = 40;
   options.connect.backoff_ms = 10;
-  options.probe = {2, 1};  // probe fast so re-admission never stalls tests
   return options;
 }
 
@@ -604,10 +603,11 @@ TEST(DistCoordinator, RedispatchesWhenAWorkerDiesMidRun) {
 
 TEST(DistCoordinator, LosingEveryWorkerAbortsTheRunWhenFallbackIsOff) {
   // The worker accepts every connection and handshake but dies on every
-  // shard: quarantine, re-admission, another death — until the circuit
-  // breaker stops the probing. With the local fallback opted out, and a
-  // redispatch budget too large to exhaust first, the run must abort with
-  // the all-workers-lost error.
+  // shard: link down, reconnect, another death — until the link's failure
+  // count reaches its budget and it stays down. With the local fallback
+  // opted out, and a budget no single shard exhausts first (failed shards
+  // rotate through the queue), the run must abort with the
+  // all-workers-lost error.
   FakeWorker dying(FakeWorker::Behaviour::kDieOnShard);
   CoordinatorOptions options = fast_coordinator_options();
   options.local_fallback = false;
@@ -624,6 +624,10 @@ TEST(DistCoordinator, LosingEveryWorkerAbortsTheRunWhenFallbackIsOff) {
   EXPECT_EQ(stats.at("workers_lost").as_number(), 1);
   EXPECT_EQ(stats.at("local_fallback_shards").as_number(), 0);
   EXPECT_GE(stats.at("workers").at(0).at("quarantined").as_number(), 1);
+  // Bounded flapping: every reconnect follows a charged failure, so a
+  // worker that keeps dying is probed at most its link budget times.
+  EXPECT_LE(stats.at("workers").at(0).at("probes").as_number(),
+            options.redispatch.attempts);
 }
 
 TEST(DistCoordinator, LocalFallbackFinishesTheRunWhenTheFleetDies) {
@@ -631,13 +635,13 @@ TEST(DistCoordinator, LocalFallbackFinishesTheRunWhenTheFleetDies) {
   const api::Service reference(small_options());
   const api::DseResponse expect = reference.dse(request);
 
-  // One worker, dead on its first shard, breaker tripped immediately: the
-  // coordinator must compute every remaining shard in-process — through
-  // the same dse_shard code the worker would run, so the merged result is
-  // still bit-identical.
+  // One worker, dead on its first shard, its link down for the run after
+  // that one failure: the coordinator must compute every remaining shard
+  // in-process — through the same dse_shard code the worker would run, so
+  // the merged result is still bit-identical.
   FakeWorker dying(FakeWorker::Behaviour::kDieOnShard);
   CoordinatorOptions options = fast_coordinator_options();
-  options.circuit_breaker_failures = 1;  // no re-admission attempts
+  options.redispatch.attempts = 1;  // no reconnect attempts
   DseCoordinator coordinator({dying.address()}, options);
   expect_identical(coordinator.dse(request), expect);
 
@@ -658,9 +662,9 @@ TEST(DistCoordinator, ReadmitsAWorkerAfterAScriptedDrop) {
 
   // The worker's serve loop drops its connection on the 2nd request it
   // ever sees (ordinal 1 is the handshake, ordinal 2 the first shard) and
-  // behaves from then on: the health prober's next handshake (ordinal 3)
-  // succeeds, the worker is re-admitted mid-run, and the sole-worker fleet
-  // still finishes remotely — no local fallback involved.
+  // behaves from then on: the link's reconnect on its next pull (handshake
+  // at ordinal 3) succeeds, the worker is re-admitted mid-run, and the
+  // sole-worker fleet still finishes remotely — no local fallback involved.
   api::Service worker_service(small_options());
   api::SocketServerOptions server_options;
   server_options.serve.fault = std::make_shared<util::FaultInjector>(
@@ -685,14 +689,51 @@ TEST(DistCoordinator, ReadmitsAWorkerAfterAScriptedDrop) {
   EXPECT_EQ(stats.at("local_fallback_shards").as_number(), 0);
 }
 
+TEST(DistCoordinator, ALostWorkerRejoinsOnTheNextRun) {
+  const api::DseRequest request = small_dse_request();
+  const api::Service reference(small_options());
+  const api::DseResponse expect = reference.dse(request);
+
+  // The same scripted drop, but with a budget of one failure: run 1 loses
+  // the worker's link for good on its first shard and finishes in-process.
+  // The worker itself is healthy again, so run 2's fresh connect takes it
+  // back and every shard of that run is computed remotely.
+  api::Service worker_service(small_options());
+  api::SocketServerOptions server_options;
+  server_options.serve.fault = std::make_shared<util::FaultInjector>(
+      util::FaultPlan::parse("at=2:drop"));
+  api::SocketServer server(worker_service, {api::parse_listen_address(":0")},
+                           server_options);
+  ServerRunner runner(server);
+
+  CoordinatorOptions options = fast_coordinator_options();
+  options.redispatch.attempts = 1;
+  DseCoordinator coordinator({server.addresses()[0]}, options);
+
+  expect_identical(coordinator.dse(request), expect);
+  const util::Json after_run1 = coordinator.stats_json();
+  EXPECT_EQ(after_run1.at("workers_lost").as_number(), 1);
+  EXPECT_GT(after_run1.at("local_fallback_shards").as_number(), 0);
+  EXPECT_EQ(after_run1.at("workers").at(0).at("shards").as_number(), 0);
+
+  expect_identical(coordinator.dse(request), expect);
+  const util::Json after_run2 = coordinator.stats_json();
+  const util::Json& worker = after_run2.at("workers").at(0);
+  EXPECT_GT(worker.at("shards").as_number(), 0);
+  EXPECT_TRUE(worker.at("alive").as_bool());
+  EXPECT_EQ(after_run2.at("local_fallback_shards").as_number(),
+            after_run1.at("local_fallback_shards").as_number());
+  EXPECT_EQ(after_run2.at("workers_lost").as_number(), 1);
+}
+
 TEST(DistCoordinator, QuarantinesAnUnreachableWorkerAtRunStart) {
   const api::DseRequest request = small_dse_request();
   const api::Service reference(small_options());
   const api::DseResponse expect = reference.dse(request);
 
-  // Nothing listens on the first address: the coordinator must quarantine
-  // it (one connect attempt, no 40-try stall) and run the whole grid on
-  // the reachable worker.
+  // Nothing listens on the first address: the coordinator must mark its
+  // link down (one connect attempt, no 40-try stall) and run the whole
+  // grid on the reachable worker.
   api::Service worker_service(small_options());
   api::SocketServer server(worker_service, {api::parse_listen_address(":0")});
   ServerRunner runner(server);
@@ -700,8 +741,8 @@ TEST(DistCoordinator, QuarantinesAnUnreachableWorkerAtRunStart) {
       ::testing::TempDir() + "rsp_dist_never.sock");
 
   CoordinatorOptions options = fast_coordinator_options();
-  options.connect = {1, 0};           // absent means absent, immediately
-  options.circuit_breaker_failures = 1;  // don't re-probe it mid-run
+  options.connect = {1, 0};         // absent means absent, immediately
+  options.redispatch.attempts = 1;  // don't reconnect it mid-run
   DseCoordinator coordinator({absent, server.addresses()[0]}, options);
   expect_identical(coordinator.dse(request), expect);
 
@@ -745,13 +786,7 @@ TEST(DistCoordinator, ValidatesConstructionOptions) {
   bad.request_timeout_ms = -1;
   EXPECT_THROW(DseCoordinator(one, bad), InvalidArgumentError);
   bad = CoordinatorOptions{};
-  bad.probe.backoff_ms = -1;
-  EXPECT_THROW(DseCoordinator(one, bad), InvalidArgumentError);
-  bad = CoordinatorOptions{};
   bad.connect.attempts = 0;
-  EXPECT_THROW(DseCoordinator(one, bad), InvalidArgumentError);
-  bad = CoordinatorOptions{};
-  bad.circuit_breaker_failures = 0;
   EXPECT_THROW(DseCoordinator(one, bad), InvalidArgumentError);
 }
 
