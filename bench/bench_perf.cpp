@@ -2,13 +2,14 @@
 //
 // Measures the speed of the pieces a user iterates with during design space
 // exploration: kernel unrolling, mapping, scheduling per architecture
-// class, legality checking, cycle simulation, and the fast performance
-// estimate that makes the exploration loop cheap.
+// class, step-5 measurement, legality checking, cycle simulation, and the
+// fast performance estimate that makes the exploration loop cheap.
 #include <benchmark/benchmark.h>
 
 #include "analysis/verifier.hpp"
 #include "arch/presets.hpp"
 #include "core/estimate.hpp"
+#include "core/evaluator.hpp"
 #include "ir/unroll.hpp"
 #include "kernels/registry.hpp"
 #include "sched/mapper.hpp"
@@ -72,6 +73,23 @@ void BM_ScheduleRsp(benchmark::State& state) {
   state.SetLabel(w.name);
 }
 BENCHMARK(BM_ScheduleRsp)->DenseRange(0, 8);
+
+// One step-5 measurement pair without a free-run memo: the real schedule
+// and the free run of RS#2 and of RSP#2, as core::measure_perf takes them.
+void BM_Measure(benchmark::State& state) {
+  const kernels::Workload& w = workload(static_cast<int>(state.range(0)));
+  const sched::LoopPipeliner mapper(w.array);
+  const sched::PlacedProgram p = mapper.map(w.kernel, w.hints, w.reduction);
+  const sched::ContextScheduler s;
+  const arch::Architecture rs = arch::rs_architecture(2);
+  const arch::Architecture rsp = arch::rsp_architecture(2);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core::measure_perf(s, p, rs).perf.stalls);
+    benchmark::DoNotOptimize(core::measure_perf(s, p, rsp).perf.stalls);
+  }
+  state.SetLabel(w.name);
+}
+BENCHMARK(BM_Measure)->DenseRange(0, 8);
 
 void BM_Legality(benchmark::State& state) {
   const kernels::Workload& w = workload(static_cast<int>(state.range(0)));

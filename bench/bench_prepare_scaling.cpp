@@ -19,8 +19,13 @@
 // step 1 to shared_ptr copies, which is where the >1.5x win comes from
 // even on small machines. The ratio is smaller than before profiling
 // because the serial baseline lost most of its estimation work too.
+//
+// Exit status: 1 when a pool or pool+cache round's candidates differ from
+// the serial prepare's in any field (a wrong result), 2 when only the
+// 4-thread speedup or mapping hit-rate target misses, 0 otherwise.
 #include <chrono>
 #include <iostream>
+#include <string>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -40,6 +45,31 @@ using Clock = std::chrono::steady_clock;
 double ms_since(Clock::time_point start) {
   return std::chrono::duration<double, std::milli>(Clock::now() - start)
       .count();
+}
+
+// Whether `got` carries the serial prepare's steps 1-4 results field for
+// field.
+bool same_prepared(const dse::ExplorationResult& expected,
+                   const dse::ExplorationResult& got) {
+  if (expected.base_cycles != got.base_cycles ||
+      expected.base_area != got.base_area ||
+      expected.base_time_ns != got.base_time_ns ||
+      expected.candidates.size() != got.candidates.size())
+    return false;
+  for (std::size_t i = 0; i < expected.candidates.size(); ++i) {
+    const dse::Candidate& e = expected.candidates[i];
+    const dse::Candidate& g = got.candidates[i];
+    if (e.point.label() != g.point.label() ||
+        e.area_estimate != g.area_estimate ||
+        e.area_synthesized != g.area_synthesized ||
+        e.clock_ns != g.clock_ns ||
+        e.estimated_cycles != g.estimated_cycles ||
+        e.estimated_time_ns != g.estimated_time_ns ||
+        e.rejected != g.rejected || e.reject_reason != g.reject_reason ||
+        e.pareto != g.pareto)
+      return false;
+  }
+  return true;
 }
 
 }  // namespace
@@ -71,8 +101,10 @@ int main() {
     json_rows.push(std::move(row));
   };
 
+  dse::ExplorationResult serial_result;
   const Clock::time_point serial_start = Clock::now();
-  for (int r = 0; r < kRounds; ++r) explorer.prepare(domain);
+  for (int r = 0; r < kRounds; ++r)
+    serial_result = explorer.prepare(domain).result;
   const double serial_ms = ms_since(serial_start);
   table.add_row({"serial", "1", util::format_trimmed(serial_ms, 2), "1.00",
                  "-"});
@@ -82,18 +114,26 @@ int main() {
 
   double speedup_4_threads = 0.0;
   double hit_rate_4_threads = 0.0;
+  std::vector<std::string> wrong_modes;
   for (const bool with_cache : {false, true}) {
     for (const int threads : {1, 2, 4}) {
       runtime::ThreadPool pool(threads);
       runtime::MappingCache cache;
+      bool correct = true;
       const Clock::time_point start = Clock::now();
       for (int r = 0; r < kRounds; ++r)
-        runtime::prepare_parallel(explorer, domain, pool,
-                                  with_cache ? &cache : nullptr);
+        correct &= same_prepared(
+            serial_result, runtime::prepare_parallel(
+                               explorer, domain, pool,
+                               with_cache ? &cache : nullptr)
+                               .result);
       const double elapsed_ms = ms_since(start);
       const double speedup = serial_ms / elapsed_ms;
       const double hit_rate = 100.0 * cache.stats().hit_rate();
       const std::string mode = with_cache ? "pool+cache" : "pool";
+      if (!correct)
+        wrong_modes.push_back(mode + " at " + std::to_string(threads) +
+                              " threads");
       table.add_row({mode, std::to_string(threads),
                      util::format_trimmed(elapsed_ms, 2),
                      util::format_trimmed(speedup, 2),
@@ -130,13 +170,18 @@ int main() {
   json_doc.set("summary", std::move(summary));
   bench::maybe_write_json(json_doc, "prepare_scaling");
 
-  // The acceptance bar for the parallel front-end: repeated domains must
-  // be prepared >1.5x faster at 4 threads with the mapping cache serving
-  // more than half of the step-1 requests.
+  // The acceptance bar for the parallel front-end: every fanned-out round
+  // reproduces the serial candidates, and repeated domains are prepared
+  // >1.5x faster at 4 threads with the mapping cache serving more than
+  // half of the step-1 requests.
+  for (const std::string& mode : wrong_modes)
+    std::cout << "\nWRONG RESULT: " << mode
+              << " differs from the serial prepare\n";
   std::cout << "\n4-thread pool+cache speedup: "
             << util::format_trimmed(speedup_4_threads, 2)
             << "x (target >1.5x), mapping hit rate "
             << util::format_trimmed(hit_rate_4_threads, 1)
             << "% (target >50%)\n";
-  return speedup_4_threads > 1.5 && hit_rate_4_threads > 50.0 ? 0 : 1;
+  if (!wrong_modes.empty()) return 1;
+  return speedup_4_threads > 1.5 && hit_rate_4_threads > 50.0 ? 0 : 2;
 }

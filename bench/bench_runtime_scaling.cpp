@@ -13,8 +13,13 @@
 // Expected shape: pool scales with physical cores on cold evaluations;
 // pool+cache collapses repeated rounds to lookups, which is where the
 // >1.5x win comes from even on small machines.
+//
+// Exit status: 1 when a pool or pool+cache round's exact results differ
+// from the serial round's in any field (a wrong result), 2 when only the
+// 4-thread speedup or hit-rate target misses, 0 otherwise.
 #include <chrono>
 #include <iostream>
+#include <string>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -45,27 +50,52 @@ struct Setup {
   dse::ExplorationResult pareto_only;
 };
 
-// One serial pass over the Pareto survivors — the exact step-5 loop.
-void run_serial_round(const Setup& setup) {
+// One serial pass over the Pareto survivors — the exact step-5 loop of
+// dse::Explorer::explore, free-run tables included. Returns the evaluated
+// survivors in candidate order.
+std::vector<dse::Candidate> run_serial_round(const Setup& setup) {
   const sched::ContextScheduler scheduler;
+  std::vector<sched::FreeRunTable> free_runs(setup.prep.programs.size());
+  std::vector<dse::Candidate> out;
   for (const std::size_t index : setup.survivors) {
     dse::Candidate cand = setup.prep.result.candidates[index];
     dse::evaluate_exact(cand, setup.prep.programs.size(),
                         [&](std::size_t k, const arch::Architecture& a) {
-                          return sched::measure(
-                              scheduler, setup.prep.programs[k], a);
+                          return sched::measure(scheduler,
+                                                *setup.prep.programs[k], a,
+                                                &free_runs[k]);
                         });
+    out.push_back(std::move(cand));
   }
+  return out;
 }
 
 // One pooled pass: the production step-5 driver (a task per (survivor,
 // kernel), optionally memoized) on a fresh copy of the survivor set.
-void run_pool_round(const Setup& setup, runtime::ThreadPool& pool,
-                    runtime::EvalCache* cache) {
+std::vector<dse::Candidate> run_pool_round(const Setup& setup,
+                                           runtime::ThreadPool& pool,
+                                           runtime::EvalCache* cache) {
   dse::ExplorationResult result = setup.pareto_only;
   runtime::evaluate_pareto_exact(setup.prep.programs,
                                  setup.prep.kernel_names, result, pool,
                                  cache);
+  return std::move(result.candidates);
+}
+
+// Whether `got` carries the serial round's exact results field for field.
+bool same_exact_results(const std::vector<dse::Candidate>& expected,
+                        const std::vector<dse::Candidate>& got) {
+  if (expected.size() != got.size()) return false;
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    const dse::Candidate& e = expected[i];
+    const dse::Candidate& g = got[i];
+    if (e.point.label() != g.point.label() || e.evaluated != g.evaluated ||
+        e.exact_cycles != g.exact_cycles ||
+        e.total_stalls != g.total_stalls ||
+        e.exact_time_ns != g.exact_time_ns)
+      return false;
+  }
+  return true;
 }
 
 }  // namespace
@@ -106,8 +136,9 @@ int main() {
     json_rows.push(std::move(row));
   };
 
+  std::vector<dse::Candidate> serial_results;
   const Clock::time_point serial_start = Clock::now();
-  for (int r = 0; r < kRounds; ++r) run_serial_round(setup);
+  for (int r = 0; r < kRounds; ++r) serial_results = run_serial_round(setup);
   const double serial_ms = ms_since(serial_start);
   table.add_row({"serial", "1", util::format_trimmed(serial_ms, 2), "1.00",
                  "-"});
@@ -117,17 +148,24 @@ int main() {
 
   double speedup_4_threads = 0.0;
   double hit_rate_4_threads = 0.0;
+  std::vector<std::string> wrong_modes;
   for (const bool with_cache : {false, true}) {
     for (const int threads : {1, 2, 4}) {
       runtime::ThreadPool pool(threads);
       runtime::EvalCache cache;
+      bool correct = true;
       const Clock::time_point start = Clock::now();
       for (int r = 0; r < kRounds; ++r)
-        run_pool_round(setup, pool, with_cache ? &cache : nullptr);
+        correct &= same_exact_results(
+            serial_results,
+            run_pool_round(setup, pool, with_cache ? &cache : nullptr));
       const double elapsed_ms = ms_since(start);
       const double speedup = serial_ms / elapsed_ms;
       const double hit_rate = 100.0 * cache.stats().hit_rate();
       const std::string mode = with_cache ? "pool+cache" : "pool";
+      if (!correct)
+        wrong_modes.push_back(mode + " at " + std::to_string(threads) +
+                              " threads");
       table.add_row({mode, std::to_string(threads),
                      util::format_trimmed(elapsed_ms, 2),
                      util::format_trimmed(speedup, 2),
@@ -165,11 +203,16 @@ int main() {
   json_doc.set("summary", std::move(summary));
   bench::maybe_write_json(json_doc, "runtime_scaling");
 
-  // The acceptance bar for the runtime subsystem: repeated design points
-  // must be served >1.5x faster at 4 threads with a warm memo cache.
+  // The acceptance bar for the runtime subsystem: every fanned-out round
+  // reproduces the serial results, and repeated design points are served
+  // >1.5x faster at 4 threads with a warm memo cache.
+  for (const std::string& mode : wrong_modes)
+    std::cout << "\nWRONG RESULT: " << mode
+              << " differs from the serial step-5 loop\n";
   std::cout << "\n4-thread pool+cache speedup: "
             << util::format_trimmed(speedup_4_threads, 2) << "x (target >1.5x), "
             << "cache hit rate " << util::format_trimmed(hit_rate_4_threads, 1)
             << "% (target >0%)\n";
-  return speedup_4_threads > 1.5 && hit_rate_4_threads > 0.0 ? 0 : 1;
+  if (!wrong_modes.empty()) return 1;
+  return speedup_4_threads > 1.5 && hit_rate_4_threads > 0.0 ? 0 : 2;
 }

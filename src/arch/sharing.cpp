@@ -41,9 +41,10 @@ void SharingPlan::validate(const ArraySpec& array) const {
   if (pipeline_stages > 1 && !is_pipelinable(resource))
     throw InvalidArgumentError(std::string(resource_name(resource)) +
                                " is not a pipelinable resource");
-  if (pipeline_stages > 8)
+  if (pipeline_stages > kMaxPipelineStages)
     throw InvalidArgumentError(
-        "more than 8 pipeline stages is outside the template's design space");
+        "more than " + std::to_string(kMaxPipelineStages) +
+        " pipeline stages is outside the template's design space");
 }
 
 }  // namespace rsp::arch

@@ -17,6 +17,10 @@
 
 namespace rsp::arch {
 
+/// Deepest multiplier pipeline the template's design space admits; a
+/// multiplication's latency is 1..kMaxPipelineStages cycles.
+inline constexpr int kMaxPipelineStages = 8;
+
 /// Identifier of one physical shared unit.
 struct SharedUnitId {
   /// Pool the unit belongs to: row pool r serves all PEs with row == r,

@@ -6,13 +6,16 @@ namespace rsp::core {
 
 MeasuredPerf measure_perf(const sched::ContextScheduler& scheduler,
                           const sched::PlacedProgram& program,
-                          const arch::Architecture& architecture) {
-  // One schedule serves both the PerfPoint and the issue-width column.
-  const sched::ConfigurationContext context =
-      scheduler.schedule(program, architecture);
+                          const arch::Architecture& architecture,
+                          sched::FreeRunTable* free_runs) {
+  // One length-only schedule serves both the PerfPoint and the issue-width
+  // column.
+  const sched::ScheduleLength real =
+      scheduler.schedule_length(program, architecture);
   MeasuredPerf m;
-  m.perf = sched::measure(scheduler, program, architecture, context);
-  m.max_critical_issues = context.max_critical_issues_per_cycle();
+  m.perf = sched::perf_point(real.length, scheduler, program, architecture,
+                             free_runs);
+  m.max_critical_issues = real.max_critical_issues;
   return m;
 }
 

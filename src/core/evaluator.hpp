@@ -31,12 +31,14 @@ struct MeasuredPerf {
   int max_critical_issues = 0;  ///< peak critical-resource issues per cycle
 };
 
-/// Measures a pair with a single schedule serving both the PerfPoint and
-/// the issue-width column. Shared by the serial evaluator and
-/// runtime::ParallelExplorer so the two paths cannot drift.
+/// Measures a pair with a single length-only schedule serving both the
+/// PerfPoint and the issue-width column, plus the free run (from
+/// `free_runs`, the program's table, when non-null). Shared by the serial
+/// evaluator and runtime::ParallelExplorer so the two paths cannot drift.
 MeasuredPerf measure_perf(const sched::ContextScheduler& scheduler,
                           const sched::PlacedProgram& program,
-                          const arch::Architecture& architecture);
+                          const arch::Architecture& architecture,
+                          sched::FreeRunTable* free_runs = nullptr);
 
 /// Assembles the EvalResult row (delay reduction left 0) from a
 /// measurement — the single definition of the row's derived fields.

@@ -181,7 +181,8 @@ PreparedExploration Explorer::prepare(
                                  "' targets a different array geometry");
     KernelPrep kernel_prep = prepare_kernel(w);
     prep.kernel_names.push_back(w.name);
-    prep.programs.push_back(std::move(kernel_prep.program));
+    prep.programs.push_back(std::make_shared<const sched::PlacedProgram>(
+        std::move(kernel_prep.program)));
     result.base_cycles += kernel_prep.base_context.length();
     profiles.push_back(std::move(kernel_prep.profile));
   }
@@ -210,13 +211,16 @@ ExplorationResult Explorer::explore(
   PreparedExploration prep = prepare(domain);
   ExplorationResult result = std::move(prep.result);
 
-  // Step 5: exact evaluation of the Pareto points.
+  // Step 5: exact evaluation of the Pareto points, sharing each kernel's
+  // free runs across the survivors.
   const sched::ContextScheduler scheduler;
+  std::vector<sched::FreeRunTable> free_runs(prep.programs.size());
   for (Candidate& cand : result.candidates) {
     if (!cand.pareto) continue;
     evaluate_exact(cand, prep.programs.size(),
                    [&](std::size_t k, const arch::Architecture& a) {
-                     return sched::measure(scheduler, prep.programs[k], a);
+                     return sched::measure(scheduler, *prep.programs[k], a,
+                                           &free_runs[k]);
                    });
     RSP_LOG(kInfo) << "pareto point " << cand.point.label() << ": area "
                    << cand.area_synthesized << " slices, time "

@@ -16,6 +16,7 @@
 
 #include <cstddef>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -101,8 +102,11 @@ struct ExplorationResult {
 /// Exposed so alternative step-5 drivers (runtime::ParallelExplorer) can fan
 /// the expensive rescheduling out without re-deriving the cheap stages.
 struct PreparedExploration {
-  std::vector<std::string> kernel_names;       ///< domain order
-  std::vector<sched::PlacedProgram> programs;  ///< one per kernel, same order
+  std::vector<std::string> kernel_names;  ///< domain order
+  /// One per kernel, same order. Shared, not copied, so a program's cached
+  /// priority order (PlacedProgram::priority_order) carries over from the
+  /// step-1 record it came from.
+  std::vector<std::shared_ptr<const sched::PlacedProgram>> programs;
   /// Candidates carry estimates and `pareto` flags; exact_* fields are
   /// still zero and `selected` is -1.
   ExplorationResult result;

@@ -71,9 +71,10 @@ class PoolLease {
 
 EvalRecord measure_record(const sched::ContextScheduler& scheduler,
                           const sched::PlacedProgram& program,
-                          const arch::Architecture& architecture) {
+                          const arch::Architecture& architecture,
+                          sched::FreeRunTable* free_runs) {
   const core::MeasuredPerf m =
-      core::measure_perf(scheduler, program, architecture);
+      core::measure_perf(scheduler, program, architecture, free_runs);
   EvalRecord r;
   r.cycles = m.perf.cycles;
   r.stalls = m.perf.stalls;
@@ -90,10 +91,13 @@ EvalRecord measure_record(const sched::ContextScheduler& scheduler,
 EvalRecord cached_measure(EvalCache* cache, const std::string& key,
                           const sched::ContextScheduler& scheduler,
                           const sched::PlacedProgram& program,
-                          const arch::Architecture& architecture) {
-  if (cache == nullptr) return measure_record(scheduler, program, architecture);
-  return cache->get_or_compute(
-      key, [&] { return measure_record(scheduler, program, architecture); });
+                          const arch::Architecture& architecture,
+                          sched::FreeRunTable* free_runs) {
+  const auto measure = [&] {
+    return measure_record(scheduler, program, architecture, free_runs);
+  };
+  if (cache == nullptr) return measure();
+  return cache->get_or_compute(key, measure);
 }
 
 PreparedKernels prepare_kernels_parallel(
@@ -152,7 +156,8 @@ dse::PreparedExploration prepare_parallel(
   dse::ExplorationResult& result = prep.result;
   for (std::size_t k = 0; k < domain.size(); ++k) {
     prep.kernel_names.push_back(domain[k].name);
-    prep.programs.push_back(records[k]->program);
+    // Aliasing pointer: shares the record's ownership, no program copy.
+    prep.programs.emplace_back(records[k], &records[k]->program);
     result.base_cycles += records[k]->base_context.length();
   }
   result.base_area = explorer.synthesis().area(base);
@@ -203,10 +208,10 @@ dse::PreparedExploration prepare_parallel(
   return prep;
 }
 
-void evaluate_pareto_exact(const std::vector<sched::PlacedProgram>& programs,
-                           const std::vector<std::string>& kernel_names,
-                           dse::ExplorationResult& result, ThreadPool& pool,
-                           EvalCache* cache) {
+void evaluate_pareto_exact(
+    const std::vector<std::shared_ptr<const sched::PlacedProgram>>& programs,
+    const std::vector<std::string>& kernel_names,
+    dse::ExplorationResult& result, ThreadPool& pool, EvalCache* cache) {
   std::vector<std::size_t> survivors;
   for (std::size_t i = 0; i < result.candidates.size(); ++i)
     if (result.candidates[i].pareto) survivors.push_back(i);
@@ -227,12 +232,13 @@ void evaluate_pareto_exact(const std::vector<sched::PlacedProgram>& programs,
   std::vector<std::vector<sched::PerfPoint>> points(
       survivors.size(), std::vector<sched::PerfPoint>(num_kernels));
   const sched::ContextScheduler scheduler;
+  std::vector<sched::FreeRunTable> free_runs(num_kernels);
 
   // Program tags are O(program) to hash — once per kernel, not per task.
   std::vector<std::string> tags(num_kernels);
   if (cache != nullptr)
     for (std::size_t k = 0; k < num_kernels; ++k)
-      tags[k] = EvalCache::program_tag(programs[k]);
+      tags[k] = EvalCache::program_tag(*programs[k]);
 
   std::vector<std::future<void>> futures;
   futures.reserve(tasks.size());
@@ -246,7 +252,7 @@ void evaluate_pareto_exact(const std::vector<sched::PlacedProgram>& programs,
             cache != nullptr
                 ? EvalCache::key(kernel_names[t.kernel], tags[t.kernel], a)
                 : std::string(),
-            scheduler, programs[t.kernel], a);
+            scheduler, *programs[t.kernel], a, &free_runs[t.kernel]);
         points[t.survivor][t.kernel] =
             sched::PerfPoint{rec.cycles, rec.stalls, rec.nostall_cycles};
       }));

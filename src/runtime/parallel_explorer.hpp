@@ -71,12 +71,14 @@ PreparedKernels prepare_kernels_parallel(
 
 /// The memoization protocol every exact measurement shares (DSE step 5,
 /// suite eval, distributed exact shards): consult `cache` under `key` when
-/// non-null, measure via the deterministic scheduler otherwise. One
+/// non-null, measure via the deterministic scheduler otherwise (taking the
+/// free run from `free_runs`, the program's table, when non-null). One
 /// function so no fan-out path can drift from the serial measurement.
 EvalRecord cached_measure(EvalCache* cache, const std::string& key,
                           const sched::ContextScheduler& scheduler,
                           const sched::PlacedProgram& program,
-                          const arch::Architecture& architecture);
+                          const arch::Architecture& architecture,
+                          sched::FreeRunTable* free_runs = nullptr);
 
 /// The parallel steps 1–4: bit-identical to dse::Explorer::prepare on the
 /// same domain. Step 1 runs one task per kernel (through `mapping_cache`
@@ -90,13 +92,14 @@ dse::PreparedExploration prepare_parallel(
 
 /// The parallel step 5: exact-evaluates every Pareto survivor in `result`
 /// across `pool`, one task per (survivor, kernel), memoized through
-/// `cache` when non-null. `programs`/`kernel_names` come from
-/// dse::Explorer::prepare. This is the exact fan-out ParallelExplorer
-/// runs; it is exposed so benches measure the production code path.
-void evaluate_pareto_exact(const std::vector<sched::PlacedProgram>& programs,
-                           const std::vector<std::string>& kernel_names,
-                           dse::ExplorationResult& result, ThreadPool& pool,
-                           EvalCache* cache);
+/// `cache` when non-null and sharing one free-run table per kernel across
+/// the call. `programs`/`kernel_names` come from dse::Explorer::prepare.
+/// This is the exact fan-out ParallelExplorer runs; it is exposed so
+/// benches measure the production code path.
+void evaluate_pareto_exact(
+    const std::vector<std::shared_ptr<const sched::PlacedProgram>>& programs,
+    const std::vector<std::string>& kernel_names,
+    dse::ExplorationResult& result, ThreadPool& pool, EvalCache* cache);
 
 class ParallelExplorer {
  public:

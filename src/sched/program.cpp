@@ -1,6 +1,7 @@
 #include "sched/program.hpp"
 
 #include <algorithm>
+#include <numeric>
 
 #include "util/error.hpp"
 
@@ -34,6 +35,7 @@ ProgIndex PlacedProgram::add(ProgramOp op) {
     source_index_[static_cast<std::size_t>(op.source)] = idx;
   }
   ops_.push_back(std::move(op));
+  order_.slot.store(nullptr);
   return idx;
 }
 
@@ -75,6 +77,28 @@ void PlacedProgram::validate() const {
             "priorities must strictly increase along order dependences");
     }
   }
+}
+
+const std::vector<ProgIndex>& PlacedProgram::priority_order() const {
+  std::shared_ptr<const std::vector<ProgIndex>> order = order_.slot.load();
+  if (!order) {
+    validate();
+    auto fresh = std::make_shared<std::vector<ProgIndex>>(ops_.size());
+    std::iota(fresh->begin(), fresh->end(), 0);
+    std::stable_sort(fresh->begin(), fresh->end(),
+                     [this](ProgIndex a, ProgIndex b) {
+                       return ops_[static_cast<std::size_t>(a)].priority <
+                              ops_[static_cast<std::size_t>(b)].priority;
+                     });
+    // A racing first call may have filled the slot meanwhile: keep the
+    // winner, so a filled slot never changes and the reference returned
+    // below stays valid until the program is next mutated.
+    order = std::move(fresh);
+    std::shared_ptr<const std::vector<ProgIndex>> expected;
+    if (!order_.slot.compare_exchange_strong(expected, order))
+      order = std::move(expected);
+  }
+  return *order;
 }
 
 std::int64_t PlacedProgram::count(ir::OpKind kind) const {

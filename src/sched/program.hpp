@@ -9,7 +9,9 @@
 // base context and its RS/RSP rearrangements.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -78,6 +80,13 @@ class PlacedProgram {
   /// of every producer→consumer edge, priorities monotone along edges.
   void validate() const;
 
+  /// The order the scheduler places ops in: ascending priority, ties by
+  /// index. The first call runs validate() — throwing what it throws, and
+  /// caching nothing — then caches the order, so a program scheduled on
+  /// many architectures is validated and sorted once. Copies share the
+  /// cache; add() clears it. Safe to call from many threads at once.
+  const std::vector<ProgIndex>& priority_order() const;
+
   /// Number of mult ops (for quick sanity checks).
   std::int64_t count(ir::OpKind kind) const;
 
@@ -85,6 +94,26 @@ class PlacedProgram {
   arch::ArraySpec array_;
   std::vector<ProgramOp> ops_;
   std::vector<ProgIndex> source_index_;  // unrolled OpId -> program index
+
+  /// An atomic slot that copies share (a move takes it along): once filled
+  /// it holds the same immutable order until add() empties it.
+  class OrderCache {
+   public:
+    OrderCache() = default;
+    OrderCache(const OrderCache& other) : slot(other.slot.load()) {}
+    OrderCache(OrderCache&& other) noexcept
+        : slot(other.slot.exchange(nullptr)) {}
+    OrderCache& operator=(const OrderCache& other) {
+      slot.store(other.slot.load());
+      return *this;
+    }
+    OrderCache& operator=(OrderCache&& other) noexcept {
+      slot.store(other.slot.exchange(nullptr));
+      return *this;
+    }
+    std::atomic<std::shared_ptr<const std::vector<ProgIndex>>> slot;
+  };
+  mutable OrderCache order_;
 };
 
 }  // namespace rsp::sched

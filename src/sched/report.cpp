@@ -13,29 +13,48 @@ ScheduleStats stats_of(const ConfigurationContext& context) {
   return s;
 }
 
-PerfPoint measure(const ContextScheduler& scheduler,
-                  const PlacedProgram& program,
-                  const arch::Architecture& architecture) {
-  return measure(scheduler, program, architecture,
-                 scheduler.schedule(program, architecture));
+FreeRunTable::FreeRunTable() {
+  for (std::atomic<int>& length : lengths_) length.store(-1);
 }
 
-PerfPoint measure(const ContextScheduler& scheduler,
-                  const PlacedProgram& program,
-                  const arch::Architecture& architecture,
-                  const ConfigurationContext& real) {
+int FreeRunTable::length(const ContextScheduler& scheduler,
+                         const PlacedProgram& program,
+                         const arch::Architecture& architecture) {
+  std::atomic<int>& slot =
+      lengths_.at(static_cast<std::size_t>(architecture.mult_latency() - 1));
+  int length = slot.load(std::memory_order_relaxed);
+  if (length < 0) {
+    length = scheduler.schedule_length(program, unlimited_units(architecture))
+                 .length;
+    slot.store(length, std::memory_order_relaxed);
+  }
+  return length;
+}
+
+PerfPoint perf_point(int cycles, const ContextScheduler& scheduler,
+                     const PlacedProgram& program,
+                     const arch::Architecture& architecture,
+                     FreeRunTable* free_runs) {
   PerfPoint p;
-  p.cycles = real.length();
+  p.cycles = cycles;
   if (!architecture.shares_multiplier()) {
     p.nostall_cycles = p.cycles;
     p.stalls = 0;
     return p;
   }
-  const ConfigurationContext free_run =
-      scheduler.schedule(program, unlimited_units(architecture));
-  p.nostall_cycles = free_run.length();
+  FreeRunTable once;
+  p.nostall_cycles = (free_runs != nullptr ? *free_runs : once)
+                         .length(scheduler, program, architecture);
   p.stalls = p.cycles - p.nostall_cycles;
   return p;
+}
+
+PerfPoint measure(const ContextScheduler& scheduler,
+                  const PlacedProgram& program,
+                  const arch::Architecture& architecture,
+                  FreeRunTable* free_runs) {
+  return perf_point(scheduler.schedule_length(program, architecture).length,
+                    scheduler, program, architecture, free_runs);
 }
 
 }  // namespace rsp::sched

@@ -1,6 +1,8 @@
 // Schedule statistics: lengths, stalls and multiplier pressure.
 #pragma once
 
+#include <array>
+#include <atomic>
 #include <vector>
 
 #include "sched/context.hpp"
@@ -32,16 +34,39 @@ struct PerfPoint {
   int nostall_cycles = 0;  ///< schedule length with unlimited units
 };
 
-PerfPoint measure(const ContextScheduler& scheduler,
-                  const PlacedProgram& program,
-                  const arch::Architecture& architecture);
+/// One program's free-run lengths — its schedule lengths on
+/// unlimited_units(a) — one slot per multiplier latency, each filled on
+/// first use. Unlimited units never stall an issue (see unlimited_units),
+/// so the free run depends only on the program and a.mult_latency(), never
+/// on a's unit counts: every design point with the same pipeline depth
+/// shares one free run. A step-5 driver keeps one table per kernel for the
+/// length of one run and passes it with that kernel's program only.
+/// Thread-safe: racing first uses compute and store the same value.
+class FreeRunTable {
+ public:
+  FreeRunTable();
 
-/// As above, but reuses `real` — the context already scheduled for
-/// `architecture` — so callers that also need the context itself (e.g. for
-/// max_critical_issues_per_cycle) pay for one schedule, not two.
+  /// The free-run length of `program` at `architecture`'s multiplier
+  /// latency; `architecture` must share its multiplier and be valid.
+  int length(const ContextScheduler& scheduler, const PlacedProgram& program,
+             const arch::Architecture& architecture);
+
+ private:
+  std::array<std::atomic<int>, arch::kMaxPipelineStages> lengths_;  // -1 = unset
+};
+
+/// The PerfPoint of a pair whose real schedule is `cycles` long: its free
+/// run comes from `free_runs` when non-null, from a length-only schedule
+/// otherwise.
+PerfPoint perf_point(int cycles, const ContextScheduler& scheduler,
+                     const PlacedProgram& program,
+                     const arch::Architecture& architecture,
+                     FreeRunTable* free_runs = nullptr);
+
+/// Measures a pair with length-only schedules (see perf_point).
 PerfPoint measure(const ContextScheduler& scheduler,
                   const PlacedProgram& program,
                   const arch::Architecture& architecture,
-                  const ConfigurationContext& real);
+                  FreeRunTable* free_runs = nullptr);
 
 }  // namespace rsp::sched

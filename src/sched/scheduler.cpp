@@ -1,7 +1,6 @@
 #include "sched/scheduler.hpp"
 
 #include <algorithm>
-#include <numeric>
 
 #include "util/error.hpp"
 
@@ -9,27 +8,36 @@ namespace rsp::sched {
 
 namespace {
 
-/// Per-cycle occupancy tables, grown on demand.
-class OccupancyTable {
+/// Flat cycles × slots occupancy counts, grown geometrically in whole
+/// cycles; cells past the end read 0 (nothing taken there yet).
+class SlotTable {
  public:
-  explicit OccupancyTable(int slots_per_cycle) : slots_(slots_per_cycle) {}
+  explicit SlotTable(int slots_per_cycle)
+      : slots_(static_cast<std::size_t>(slots_per_cycle)) {}
 
   int used(int cycle, int slot) const {
-    if (cycle >= static_cast<int>(rows_.size())) return 0;
-    return rows_[static_cast<std::size_t>(cycle)]
-                [static_cast<std::size_t>(slot)];
+    const std::size_t i = at(cycle, slot);
+    return i < cells_.size() ? cells_[i] : 0;
   }
 
-  void take(int cycle, int slot) {
-    if (cycle >= static_cast<int>(rows_.size()))
-      rows_.resize(static_cast<std::size_t>(cycle) + 1,
-                   std::vector<int>(static_cast<std::size_t>(slots_), 0));
-    ++rows_[static_cast<std::size_t>(cycle)][static_cast<std::size_t>(slot)];
+  /// Takes one use of (cycle, slot); returns the uses there now.
+  int take(int cycle, int slot) {
+    const std::size_t i = at(cycle, slot);
+    if (i >= cells_.size())
+      cells_.resize(std::max(2 * cells_.size(),
+                             (static_cast<std::size_t>(cycle) + 1) * slots_),
+                    0);
+    return ++cells_[i];
   }
 
  private:
-  int slots_;
-  std::vector<std::vector<int>> rows_;
+  std::size_t at(int cycle, int slot) const {
+    return static_cast<std::size_t>(cycle) * slots_ +
+           static_cast<std::size_t>(slot);
+  }
+
+  std::size_t slots_;
+  std::vector<int> cells_;
 };
 
 }  // namespace
@@ -49,8 +57,24 @@ arch::Architecture unlimited_units(const arch::Architecture& a) {
 ConfigurationContext ContextScheduler::schedule(
     const PlacedProgram& program, const arch::Architecture& architecture)
     const {
+  std::vector<ScheduledOp> scheduled;
+  run(program, architecture, &scheduled);
+  return ConfigurationContext(architecture, std::move(scheduled));
+}
+
+ScheduleLength ContextScheduler::schedule_length(
+    const PlacedProgram& program, const arch::Architecture& architecture)
+    const {
+  return run(program, architecture, nullptr);
+}
+
+ScheduleLength ContextScheduler::run(const PlacedProgram& program,
+                                     const arch::Architecture& architecture,
+                                     std::vector<ScheduledOp>* out) const {
   architecture.validate();
-  program.validate();
+  // Scheduling order: by priority (stable on index for determinism),
+  // validated and sorted once per program.
+  const std::vector<ProgIndex>& order = program.priority_order();
   if (program.array() != architecture.array)
     throw InvalidArgumentError(
         "program was placed for a different array geometry");
@@ -58,74 +82,68 @@ ConfigurationContext ContextScheduler::schedule(
   const arch::ArraySpec& array = architecture.array;
   const bool shared = architecture.shares_multiplier();
   const int mult_latency = architecture.mult_latency();
+  const std::vector<ProgramOp>& ops = program.ops();
 
-  // Scheduling order: by priority (stable on index for determinism).
-  std::vector<ProgIndex> order(static_cast<std::size_t>(program.size()));
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(), [&](ProgIndex a, ProgIndex b) {
-    return program.op(a).priority < program.op(b).priority;
-  });
-
-  // Occupancy: PEs, row read buses, row write buses, shared units.
-  OccupancyTable pe_busy(array.num_pes());
-  OccupancyTable read_bus(array.rows);
-  OccupancyTable write_bus(array.rows);
-  // Shared unit slot numbering: row pools first, then column pools.
-  const int row_units = array.rows * architecture.sharing.units_per_row;
-  const int col_units = array.cols * architecture.sharing.units_per_col;
-  OccupancyTable unit_busy(std::max(row_units + col_units, 1));
-  auto unit_slot = [&](const arch::SharedUnitId& u) {
-    if (u.pool == arch::SharedUnitId::Pool::kRow)
-      return u.line * architecture.sharing.units_per_row + u.index;
-    return row_units + u.line * architecture.sharing.units_per_col + u.index;
+  // Occupancy: PEs, row read buses, row write buses, shared units, and
+  // the multiplications issued per cycle (for the peak).
+  SlotTable pe_busy(array.num_pes());
+  SlotTable read_bus(array.rows);
+  SlotTable write_bus(array.rows);
+  SlotTable mult_issues(1);
+  // Shared unit slot numbering: row pools first, then column pools. A PE
+  // reaches its row pool then its column pool, each in index order — the
+  // order of arch::SharingPlan::reachable_units, which first-fit follows.
+  const int units_per_row = architecture.sharing.units_per_row;
+  const int units_per_col = architecture.sharing.units_per_col;
+  const int row_units = array.rows * units_per_row;
+  SlotTable unit_busy(std::max(row_units + array.cols * units_per_col, 1));
+  const auto free_unit = [&](int t, const arch::PeCoord& pe) {
+    for (int u = 0; u < units_per_row; ++u)
+      if (unit_busy.used(t, pe.row * units_per_row + u) == 0)
+        return pe.row * units_per_row + u;
+    for (int u = 0; u < units_per_col; ++u)
+      if (unit_busy.used(t, row_units + pe.col * units_per_col + u) == 0)
+        return row_units + pe.col * units_per_col + u;
+    return -1;
   };
 
-  std::vector<int> cycle_of(static_cast<std::size_t>(program.size()), -1);
-  std::vector<ScheduledOp> scheduled(static_cast<std::size_t>(program.size()));
+  // Per op: the cycle its result is consumable (issue + latency), -1 until
+  // scheduled.
+  std::vector<int> done_at(ops.size(), -1);
+  if (out != nullptr) out->assign(ops.size(), ScheduledOp{});
+  ScheduleLength result;
 
-  for (ProgIndex idx : order) {
-    const ProgramOp& op = program.op(idx);
+  for (const ProgIndex idx : order) {
+    const ProgramOp& op = ops[static_cast<std::size_t>(idx)];
 
     // Earliest cycle by dataflow and memory ordering.
     int ready = 0;
     for (const ProgOperand& o : op.operands) {
       if (o.is_imm()) continue;
-      const int pc = cycle_of[static_cast<std::size_t>(o.producer)];
-      RSP_ASSERT_MSG(pc >= 0, "producer scheduled after consumer");
-      ready = std::max(
-          ready, pc + scheduled[static_cast<std::size_t>(o.producer)].latency);
+      const int pd = done_at[static_cast<std::size_t>(o.producer)];
+      RSP_ASSERT_MSG(pd >= 0, "producer scheduled after consumer");
+      ready = std::max(ready, pd);
     }
-    for (ProgIndex d : op.order_deps) {
-      const int pc = cycle_of[static_cast<std::size_t>(d)];
-      RSP_ASSERT_MSG(pc >= 0, "order dep scheduled after consumer");
-      ready = std::max(ready,
-                       pc + scheduled[static_cast<std::size_t>(d)].latency);
+    for (const ProgIndex d : op.order_deps) {
+      const int pd = done_at[static_cast<std::size_t>(d)];
+      RSP_ASSERT_MSG(pd >= 0, "order dep scheduled after consumer");
+      ready = std::max(ready, pd);
     }
 
     const bool is_mult = ir::is_critical_op(op.kind);
     const bool needs_unit = is_mult && shared;
-    const std::vector<arch::SharedUnitId> reachable =
-        needs_unit ? architecture.sharing.reachable_units(array, op.pe)
-                   : std::vector<arch::SharedUnitId>{};
-    if (needs_unit && reachable.empty())
-      throw InfeasibleError("architecture '" + architecture.name +
-                            "' shares multipliers but PE(" +
-                            std::to_string(op.pe.row) + "," +
-                            std::to_string(op.pe.col) +
-                            ") reaches no unit");
-
     const int pe_slot = array.linear(op.pe);
     // A multi-cycle (pipelined) operation keeps its issuing PE busy for all
     // stages: the PE waits for the product to return through the bus switch
     // (paper Fig. 6 — the 1*/2* stage pair occupies the PE's slots).
-    const int occupancy = is_mult ? mult_latency : 1;
+    const int latency = is_mult ? mult_latency : 1;
     int t = std::max(ready, op.not_before);
-    std::optional<arch::SharedUnitId> unit;
+    int unit = -1;
     for (;; ++t) {
       if (t > options_.max_cycles)
         throw InternalError("schedule exceeds max_cycles — livelock?");
       bool pe_free = true;
-      for (int s = 0; s < occupancy && pe_free; ++s)
+      for (int s = 0; s < latency && pe_free; ++s)
         pe_free = pe_busy.used(t + s, pe_slot) == 0;
       if (!pe_free) continue;
       if (op.kind == ir::OpKind::kLoad &&
@@ -135,42 +153,47 @@ ConfigurationContext ContextScheduler::schedule(
           write_bus.used(t, op.pe.row) >= array.write_buses_per_row)
         continue;
       if (needs_unit) {
-        unit.reset();
-        for (const arch::SharedUnitId& u : reachable) {
-          if (unit_busy.used(t, unit_slot(u)) == 0) {
-            unit = u;
-            break;
-          }
-        }
-        if (!unit) continue;  // RS stall: bump to the next cycle
+        unit = free_unit(t, op.pe);
+        if (unit < 0) continue;  // RS stall: bump to the next cycle
       }
       break;
     }
 
     // Commit.
-    for (int s = 0; s < occupancy; ++s) pe_busy.take(t + s, pe_slot);
+    for (int s = 0; s < latency; ++s) pe_busy.take(t + s, pe_slot);
     if (op.kind == ir::OpKind::kLoad) read_bus.take(t, op.pe.row);
     if (op.kind == ir::OpKind::kStore) write_bus.take(t, op.pe.row);
-    if (unit) unit_busy.take(t, unit_slot(*unit));
-    cycle_of[static_cast<std::size_t>(idx)] = t;
+    if (unit >= 0) unit_busy.take(t, unit);
+    if (is_mult)
+      result.max_critical_issues =
+          std::max(result.max_critical_issues, mult_issues.take(t, 0));
+    done_at[static_cast<std::size_t>(idx)] = t + latency;
+    result.length = std::max(result.length, t + latency);
 
-    ScheduledOp& out = scheduled[static_cast<std::size_t>(idx)];
-    out.kind = op.kind;
-    out.pe = op.pe;
-    out.cycle = t;
-    out.latency = is_mult ? mult_latency : 1;
-    out.priority = op.priority;
-    out.iter = op.iter;
-    out.source = op.source;
-    out.operands = op.operands;
-    out.order_deps = op.order_deps;
-    out.imm = op.imm;
-    out.array = op.array;
-    out.address = op.address;
-    out.unit = unit;
+    if (out == nullptr) continue;
+    ScheduledOp& dst = (*out)[static_cast<std::size_t>(idx)];
+    dst.kind = op.kind;
+    dst.pe = op.pe;
+    dst.cycle = t;
+    dst.latency = latency;
+    dst.priority = op.priority;
+    dst.iter = op.iter;
+    dst.source = op.source;
+    dst.operands = op.operands;
+    dst.order_deps = op.order_deps;
+    dst.imm = op.imm;
+    dst.array = op.array;
+    dst.address = op.address;
+    if (unit >= 0)
+      dst.unit = unit < row_units
+                   ? arch::SharedUnitId{arch::SharedUnitId::Pool::kRow,
+                                        unit / units_per_row,
+                                        unit % units_per_row}
+                   : arch::SharedUnitId{arch::SharedUnitId::Pool::kColumn,
+                                        (unit - row_units) / units_per_col,
+                                        (unit - row_units) % units_per_col};
   }
-
-  return ConfigurationContext(architecture, std::move(scheduled));
+  return result;
 }
 
 }  // namespace rsp::sched

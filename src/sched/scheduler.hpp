@@ -15,6 +15,10 @@
 // Resources modelled per cycle: one op per PE, `read_buses_per_row` loads
 // and `write_buses_per_row` stores per row, and one issue per shared
 // multiplier unit.
+//
+// One first-fit loop serves two entry points: `schedule` builds the full
+// ConfigurationContext, `schedule_length` keeps only each op's issue cycle
+// and latency and returns the two numbers step-5 measurement reads.
 #pragma once
 
 #include "arch/presets.hpp"
@@ -28,6 +32,13 @@ struct SchedulerOptions {
   int max_cycles = 1 << 20;
 };
 
+/// What a schedule's length-only run yields: the ConfigurationContext's
+/// length() and max_critical_issues_per_cycle(), without the context.
+struct ScheduleLength {
+  int length = 0;
+  int max_critical_issues = 0;
+};
+
 class ContextScheduler {
  public:
   explicit ContextScheduler(SchedulerOptions options = {})
@@ -37,13 +48,32 @@ class ContextScheduler {
   ConfigurationContext schedule(const PlacedProgram& program,
                                 const arch::Architecture& architecture) const;
 
+  /// The same schedule, measured only: equal to the length and peak
+  /// critical issues of schedule(program, architecture), and throws what
+  /// it throws, but builds no ScheduledOp.
+  ScheduleLength schedule_length(const PlacedProgram& program,
+                                 const arch::Architecture& architecture) const;
+
  private:
+  /// The first-fit loop behind both entry points; fills `out` (one
+  /// ScheduledOp per program op) when non-null.
+  ScheduleLength run(const PlacedProgram& program,
+                     const arch::Architecture& architecture,
+                     std::vector<ScheduledOp>* out) const;
+
   SchedulerOptions options_;
 };
 
 /// The architecture with the same pipelining but effectively unlimited
 /// shared units (one per PE in each row pool), used as the stall-free
 /// reference when counting RS stalls.
+///
+/// Its unit check never binds: a row issues at most `cols` multiplications
+/// per cycle (one per PE) and its pool holds `cols` units that every PE of
+/// the row reaches. A program's schedule on it therefore depends only on
+/// the program and mult_latency() — not on the real unit counts — which is
+/// what lets step 5 memoize free runs per (kernel, latency)
+/// (sched::FreeRunTable).
 arch::Architecture unlimited_units(const arch::Architecture& a);
 
 }  // namespace rsp::sched

@@ -556,8 +556,8 @@ void expect_prepared_identical(const dse::PreparedExploration& serial,
   ASSERT_EQ(serial.kernel_names.size(), parallel.kernel_names.size());
   for (std::size_t k = 0; k < serial.kernel_names.size(); ++k) {
     EXPECT_EQ(serial.kernel_names[k], parallel.kernel_names[k]);
-    EXPECT_EQ(EvalCache::program_tag(serial.programs[k]),
-              EvalCache::program_tag(parallel.programs[k]));
+    EXPECT_EQ(EvalCache::program_tag(*serial.programs[k]),
+              EvalCache::program_tag(*parallel.programs[k]));
   }
   const dse::ExplorationResult& s = serial.result;
   const dse::ExplorationResult& p = parallel.result;
@@ -611,6 +611,10 @@ TEST(ParallelExplorer, PrepareBitIdenticalToSerialOnPaperDomain) {
   expect_prepared_identical(serial_prep, warm);
   EXPECT_EQ(options.mapping_cache->stats().hits, domain.size());
   EXPECT_GT(options.mapping_cache->estimate_stats().hits, 0u);
+  // Warm rounds share the cached records' programs instead of copying
+  // them, so each program's cached priority order carries across rounds.
+  for (std::size_t k = 0; k < domain.size(); ++k)
+    EXPECT_EQ(cold.programs[k].get(), warm.programs[k].get()) << k;
 }
 
 TEST(ParallelExplorer, PrepareWorksWithoutMappingCache) {

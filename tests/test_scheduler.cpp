@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
+#include <string>
+#include <utility>
 
 #include "analysis/verifier.hpp"
+#include "dse/explorer.hpp"
+#include "gen/generator.hpp"
 #include "kernels/matmul.hpp"
 #include "kernels/registry.hpp"
 #include "sched/mapper.hpp"
@@ -258,6 +263,158 @@ TEST(Encode, ConfigCacheReflectsSchedule) {
       for (int c = 0; c < 8; ++c)
         if (cache.word({r, c}, t).opcode != 0) ++words;
   EXPECT_EQ(words, ctx.size());
+}
+
+// ------------------------------------------------ length-only measurement
+void expect_length_matches(const ContextScheduler& s, const PlacedProgram& p,
+                           const arch::Architecture& a,
+                           const std::string& what) {
+  const ConfigurationContext ctx = s.schedule(p, a);
+  const ScheduleLength len = s.schedule_length(p, a);
+  EXPECT_EQ(len.length, ctx.length()) << what << " on " << a.name;
+  EXPECT_EQ(len.max_critical_issues, ctx.max_critical_issues_per_cycle())
+      << what << " on " << a.name;
+}
+
+/// The step-1 programs and Pareto-survivor architectures of one
+/// dse-style domain.
+struct SurvivorSet {
+  std::vector<std::string> names;
+  std::vector<PlacedProgram> programs;
+  std::vector<arch::Architecture> survivors;
+};
+
+/// Two domains shaped like the benchmark's dse requests: six generated
+/// kernels of one array geometry each, prepared on the 8/8/4 grid.
+const std::vector<SurvivorSet>& generated_survivor_sets() {
+  static const std::vector<SurvivorSet> sets = [] {
+    dse::ExplorerConfig config;
+    config.max_units_per_row = 8;
+    config.max_units_per_col = 8;
+    config.max_stages = 4;
+    std::map<std::pair<int, int>, std::vector<kernels::Workload>> buckets;
+    std::vector<SurvivorSet> out;
+    for (std::uint64_t seed = 1; out.size() < 2; ++seed) {
+      gen::GeneratorConfig gen_config;
+      gen_config.seed = seed;
+      kernels::Workload w = gen::generate_workload(gen_config);
+      std::vector<kernels::Workload>& bucket =
+          buckets[{w.array.rows, w.array.cols}];
+      bucket.push_back(std::move(w));
+      if (bucket.size() < 6) continue;
+      const dse::PreparedExploration prep =
+          dse::Explorer(bucket.front().array, config).prepare(bucket);
+      SurvivorSet set;
+      set.names = prep.kernel_names;
+      for (const auto& program : prep.programs)
+        set.programs.push_back(*program);
+      for (const dse::Candidate* c : prep.result.pareto_points())
+        set.survivors.push_back(c->architecture);
+      out.push_back(std::move(set));
+      bucket.clear();
+    }
+    return out;
+  }();
+  return sets;
+}
+
+TEST(Scheduler, LengthOnlyMatchesFullSchedule) {
+  const ContextScheduler s;
+  for (const kernels::Workload& w : kernels::full_catalogue()) {
+    const PlacedProgram p = place(w);
+    for (const arch::Architecture& a :
+         arch::standard_suite(w.array.rows, w.array.cols))
+      expect_length_matches(s, p, a, w.name);
+  }
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    gen::GeneratorConfig config;
+    config.seed = seed;
+    const kernels::Workload w = gen::generate_workload(config);
+    const PlacedProgram p = place(w);
+    for (const arch::Architecture& a :
+         arch::standard_suite(w.array.rows, w.array.cols))
+      expect_length_matches(s, p, a, w.name);
+  }
+  std::size_t survivors = 0;
+  for (const SurvivorSet& set : generated_survivor_sets()) {
+    survivors += set.survivors.size();
+    for (std::size_t k = 0; k < set.programs.size(); ++k)
+      for (const arch::Architecture& a : set.survivors)
+        expect_length_matches(s, set.programs[k], a, set.names[k]);
+  }
+  EXPECT_GT(survivors, 2u);
+}
+
+TEST(Scheduler, FreeRunDependsOnlyOnLatency) {
+  const ContextScheduler s;
+  std::size_t shared_survivors = 0;
+  for (const SurvivorSet& set : generated_survivor_sets()) {
+    for (std::size_t k = 0; k < set.programs.size(); ++k) {
+      // One table per kernel across every survivor, as step 5 keeps it:
+      // the first survivor of each pipeline depth fills the slot that the
+      // later ones, with other unit counts, read back.
+      FreeRunTable free_runs;
+      for (const arch::Architecture& a : set.survivors) {
+        if (!a.shares_multiplier()) continue;
+        ++shared_survivors;
+        const int expected =
+            s.schedule(set.programs[k], unlimited_units(a)).length();
+        EXPECT_EQ(free_runs.length(s, set.programs[k], a), expected)
+            << set.names[k] << " on " << a.name;
+        const PerfPoint direct = measure(s, set.programs[k], a);
+        const PerfPoint memoized =
+            measure(s, set.programs[k], a, &free_runs);
+        EXPECT_EQ(memoized.cycles, direct.cycles);
+        EXPECT_EQ(memoized.stalls, direct.stalls);
+        EXPECT_EQ(memoized.nostall_cycles, direct.nostall_cycles);
+      }
+    }
+  }
+  EXPECT_GT(shared_survivors, 2u);
+}
+
+TEST(Scheduler, ValidatedOnceStillRejectsBadProgram) {
+  const ContextScheduler s;
+  const arch::Architecture base = arch::base_architecture();
+  const arch::Architecture rs = arch::rs_architecture(1);
+  const auto load = [](std::int64_t priority) {
+    ProgramOp op;
+    op.kind = ir::OpKind::kLoad;
+    op.array = "a";
+    op.priority = priority;
+    return op;
+  };
+  const auto add_one = [](ProgIndex producer, std::int64_t priority) {
+    ProgramOp op;
+    op.kind = ir::OpKind::kAdd;
+    op.operands = {ProgOperand{producer, 0}, ProgOperand{kNoProducer, 1}};
+    op.priority = priority;
+    return op;
+  };
+
+  // Priority does not increase along the load → add edge: every call
+  // validates afresh, since a failed validation caches nothing.
+  PlacedProgram bad{arch::ArraySpec{}};
+  const ProgIndex l = bad.add(load(5));
+  bad.add(add_one(l, 5));
+  for (int call = 0; call < 2; ++call) {
+    EXPECT_THROW(s.schedule(bad, base), InvalidArgumentError) << call;
+    EXPECT_THROW(s.schedule_length(bad, rs), InvalidArgumentError) << call;
+    EXPECT_THROW(measure(s, bad, rs), InvalidArgumentError) << call;
+  }
+
+  // A valid program caches its order; a copy shares it until add(), which
+  // must validate the new op on the copy's next schedule.
+  PlacedProgram good{arch::ArraySpec{}};
+  const ProgIndex g = good.add(load(0));
+  good.add(add_one(g, 1));
+  EXPECT_EQ(s.schedule(good, base).length(), 2);
+  PlacedProgram copy = good;
+  EXPECT_EQ(&copy.priority_order(), &good.priority_order());
+  copy.add(add_one(g, 0));
+  EXPECT_THROW(s.schedule(copy, base), InvalidArgumentError);
+  EXPECT_THROW(measure(s, copy, rs), InvalidArgumentError);
+  EXPECT_EQ(s.schedule(good, base).length(), 2);
 }
 
 }  // namespace
