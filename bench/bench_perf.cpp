@@ -74,8 +74,10 @@ void BM_ScheduleRsp(benchmark::State& state) {
 }
 BENCHMARK(BM_ScheduleRsp)->DenseRange(0, 8);
 
-// One step-5 measurement pair without a free-run memo: the real schedule
-// and the free run of RS#2 and of RSP#2, as core::measure_perf takes them.
+// One step-5 measurement pair, RS#2 and RSP#2, as core::measure_perf takes
+// them. The program memoizes its free runs on the first iteration, so this
+// times the real schedules plus the memo lookups, as every survivor after
+// the first of its pipeline depth sees them in step 5.
 void BM_Measure(benchmark::State& state) {
   const kernels::Workload& w = workload(static_cast<int>(state.range(0)));
   const sched::LoopPipeliner mapper(w.array);

@@ -51,19 +51,17 @@ struct Setup {
 };
 
 // One serial pass over the Pareto survivors — the exact step-5 loop of
-// dse::Explorer::explore, free-run tables included. Returns the evaluated
-// survivors in candidate order.
+// dse::Explorer::explore. Returns the evaluated survivors in candidate
+// order.
 std::vector<dse::Candidate> run_serial_round(const Setup& setup) {
   const sched::ContextScheduler scheduler;
-  std::vector<sched::FreeRunTable> free_runs(setup.prep.programs.size());
   std::vector<dse::Candidate> out;
   for (const std::size_t index : setup.survivors) {
     dse::Candidate cand = setup.prep.result.candidates[index];
     dse::evaluate_exact(cand, setup.prep.programs.size(),
                         [&](std::size_t k, const arch::Architecture& a) {
                           return sched::measure(scheduler,
-                                                *setup.prep.programs[k], a,
-                                                &free_runs[k]);
+                                                *setup.prep.programs[k], a);
                         });
     out.push_back(std::move(cand));
   }

@@ -6,15 +6,13 @@ namespace rsp::core {
 
 MeasuredPerf measure_perf(const sched::ContextScheduler& scheduler,
                           const sched::PlacedProgram& program,
-                          const arch::Architecture& architecture,
-                          sched::FreeRunTable* free_runs) {
+                          const arch::Architecture& architecture) {
   // One length-only schedule serves both the PerfPoint and the issue-width
   // column.
   const sched::ScheduleLength real =
       scheduler.schedule_length(program, architecture);
   MeasuredPerf m;
-  m.perf = sched::perf_point(real.length, scheduler, program, architecture,
-                             free_runs);
+  m.perf = sched::perf_point(real.length, scheduler, program, architecture);
   m.max_critical_issues = real.max_critical_issues;
   return m;
 }

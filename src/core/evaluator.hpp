@@ -32,13 +32,12 @@ struct MeasuredPerf {
 };
 
 /// Measures a pair with a single length-only schedule serving both the
-/// PerfPoint and the issue-width column, plus the free run (from
-/// `free_runs`, the program's table, when non-null). Shared by the serial
-/// evaluator and runtime::ParallelExplorer so the two paths cannot drift.
+/// PerfPoint and the issue-width column, plus the program's memoized free
+/// run (sched::perf_point). Shared by the serial evaluator and
+/// runtime::ParallelExplorer so the two paths cannot drift.
 MeasuredPerf measure_perf(const sched::ContextScheduler& scheduler,
                           const sched::PlacedProgram& program,
-                          const arch::Architecture& architecture,
-                          sched::FreeRunTable* free_runs = nullptr);
+                          const arch::Architecture& architecture);
 
 /// Assembles the EvalResult row (delay reduction left 0) from a
 /// measurement — the single definition of the row's derived fields.

@@ -211,16 +211,13 @@ ExplorationResult Explorer::explore(
   PreparedExploration prep = prepare(domain);
   ExplorationResult result = std::move(prep.result);
 
-  // Step 5: exact evaluation of the Pareto points, sharing each kernel's
-  // free runs across the survivors.
+  // Step 5: exact evaluation of the Pareto points.
   const sched::ContextScheduler scheduler;
-  std::vector<sched::FreeRunTable> free_runs(prep.programs.size());
   for (Candidate& cand : result.candidates) {
     if (!cand.pareto) continue;
     evaluate_exact(cand, prep.programs.size(),
                    [&](std::size_t k, const arch::Architecture& a) {
-                     return sched::measure(scheduler, *prep.programs[k], a,
-                                           &free_runs[k]);
+                     return sched::measure(scheduler, *prep.programs[k], a);
                    });
     RSP_LOG(kInfo) << "pareto point " << cand.point.label() << ": area "
                    << cand.area_synthesized << " slices, time "

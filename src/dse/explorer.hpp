@@ -104,8 +104,8 @@ struct ExplorationResult {
 struct PreparedExploration {
   std::vector<std::string> kernel_names;  ///< domain order
   /// One per kernel, same order. Shared, not copied, so a program's cached
-  /// priority order (PlacedProgram::priority_order) carries over from the
-  /// step-1 record it came from.
+  /// order, tag and free runs (PlacedProgram::priority_order) carry over
+  /// from the step-1 record it came from.
   std::vector<std::shared_ptr<const sched::PlacedProgram>> programs;
   /// Candidates carry estimates and `pareto` flags; exact_* fields are
   /// still zero and `selected` is -1.

@@ -115,7 +115,6 @@ ExactShard exact_shard(const dse::Explorer& explorer,
   // under the same cache keys as the single-process step-5 fan-out
   // (kernel name + program tag + architecture fingerprint).
   const sched::ContextScheduler scheduler;
-  std::vector<sched::FreeRunTable> free_runs(num_kernels);
   std::vector<arch::Architecture> targets;
   targets.reserve(end - begin);
   for (std::size_t i = begin; i < end; ++i)
@@ -133,7 +132,7 @@ ExactShard exact_shard(const dse::Explorer& explorer,
               eval_cache != nullptr
                   ? EvalCache::key(domain[k].name, tags[k], a)
                   : std::string(),
-              scheduler, prep.records[k]->program, a, &free_runs[k]);
+              scheduler, prep.records[k]->program, a);
           shard.cycles[i][k] = rec.cycles;
           shard.stalls[i][k] = rec.stalls;
         }));

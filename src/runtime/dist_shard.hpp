@@ -55,8 +55,8 @@ struct ExactShard {
 /// Step 5 restricted to points [begin, end): per-kernel mapping (memoized),
 /// then one exact rescheduling task per (point, kernel) pair over `pool`,
 /// memoized through `eval_cache` under the same keys as the single-process
-/// step-5 fan-out, with one free-run table per kernel for the shard.
-/// Throws InvalidArgumentError on an empty or out-of-range shard.
+/// step-5 fan-out. Throws InvalidArgumentError on an empty or out-of-range
+/// shard.
 ExactShard exact_shard(const dse::Explorer& explorer,
                        const std::vector<kernels::Workload>& domain,
                        std::size_t begin, std::size_t end, ThreadPool& pool,

@@ -4,40 +4,11 @@
 #include <vector>
 
 #include "util/error.hpp"
-#include "util/hash.hpp"
 
 namespace rsp::runtime {
 
 std::string EvalCache::program_tag(const sched::PlacedProgram& program) {
-  // Hash of the program fields the scheduler reads. Byte-view hashing is
-  // endianness-dependent, which is fine for an in-memory memo table — the
-  // key only needs to be stable within one process.
-  std::uint64_t h = util::kFnvOffsetBasis;
-  const auto mix = [&h](std::int64_t v) {
-    h = util::fnv1a(
-        std::string_view(reinterpret_cast<const char*>(&v), sizeof v), h);
-  };
-  for (const sched::ProgramOp& op : program.ops()) {
-    mix(static_cast<std::int64_t>(op.kind));
-    mix(op.pe.row);
-    mix(op.pe.col);
-    mix(op.priority);
-    mix(op.imm);
-    mix(op.address);
-    mix(op.not_before);
-    // Variable-length sections are length-prefixed so, e.g., an operand
-    // list {5, 0} and an order_deps list [5, 0] cannot alias.
-    mix(static_cast<std::int64_t>(op.array.size()));
-    h = util::fnv1a(op.array, h);
-    mix(static_cast<std::int64_t>(op.operands.size()));
-    for (const sched::ProgOperand& operand : op.operands) {
-      mix(operand.producer);
-      mix(operand.imm);
-    }
-    mix(static_cast<std::int64_t>(op.order_deps.size()));
-    for (const sched::ProgIndex dep : op.order_deps) mix(dep);
-  }
-  return std::to_string(h);
+  return std::to_string(program.fingerprint());
 }
 
 std::string arch_fingerprint(const arch::Architecture& a) {

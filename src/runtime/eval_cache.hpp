@@ -64,8 +64,9 @@ class EvalCache {
   /// Fingerprint of a placed program's scheduling-relevant content. It
   /// closes the alias trap where one kernel id is paired with two
   /// different mappings (e.g. changed hints) against a warm shared cache.
-  /// Hashing is O(program) — compute once per program and reuse the tag
-  /// across key() calls, not once per lookup.
+  /// The hash is PlacedProgram::fingerprint(), computed once per program
+  /// and cached on it; like it, this throws what PlacedProgram::validate
+  /// throws.
   static std::string program_tag(const sched::PlacedProgram& program);
 
   /// Canonical cache key: kernel identifier + `program_tag` + the

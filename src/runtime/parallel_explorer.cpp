@@ -71,10 +71,9 @@ class PoolLease {
 
 EvalRecord measure_record(const sched::ContextScheduler& scheduler,
                           const sched::PlacedProgram& program,
-                          const arch::Architecture& architecture,
-                          sched::FreeRunTable* free_runs) {
+                          const arch::Architecture& architecture) {
   const core::MeasuredPerf m =
-      core::measure_perf(scheduler, program, architecture, free_runs);
+      core::measure_perf(scheduler, program, architecture);
   EvalRecord r;
   r.cycles = m.perf.cycles;
   r.stalls = m.perf.stalls;
@@ -91,13 +90,10 @@ EvalRecord measure_record(const sched::ContextScheduler& scheduler,
 EvalRecord cached_measure(EvalCache* cache, const std::string& key,
                           const sched::ContextScheduler& scheduler,
                           const sched::PlacedProgram& program,
-                          const arch::Architecture& architecture,
-                          sched::FreeRunTable* free_runs) {
-  const auto measure = [&] {
-    return measure_record(scheduler, program, architecture, free_runs);
-  };
-  if (cache == nullptr) return measure();
-  return cache->get_or_compute(key, measure);
+                          const arch::Architecture& architecture) {
+  if (cache == nullptr) return measure_record(scheduler, program, architecture);
+  return cache->get_or_compute(
+      key, [&] { return measure_record(scheduler, program, architecture); });
 }
 
 PreparedKernels prepare_kernels_parallel(
@@ -232,9 +228,8 @@ void evaluate_pareto_exact(
   std::vector<std::vector<sched::PerfPoint>> points(
       survivors.size(), std::vector<sched::PerfPoint>(num_kernels));
   const sched::ContextScheduler scheduler;
-  std::vector<sched::FreeRunTable> free_runs(num_kernels);
 
-  // Program tags are O(program) to hash — once per kernel, not per task.
+  // Program tags are cached on the programs; look them up once per kernel.
   std::vector<std::string> tags(num_kernels);
   if (cache != nullptr)
     for (std::size_t k = 0; k < num_kernels; ++k)
@@ -252,7 +247,7 @@ void evaluate_pareto_exact(
             cache != nullptr
                 ? EvalCache::key(kernel_names[t.kernel], tags[t.kernel], a)
                 : std::string(),
-            scheduler, *programs[t.kernel], a, &free_runs[t.kernel]);
+            scheduler, *programs[t.kernel], a);
         points[t.survivor][t.kernel] =
             sched::PerfPoint{rec.cycles, rec.stalls, rec.nostall_cycles};
       }));

@@ -71,14 +71,12 @@ PreparedKernels prepare_kernels_parallel(
 
 /// The memoization protocol every exact measurement shares (DSE step 5,
 /// suite eval, distributed exact shards): consult `cache` under `key` when
-/// non-null, measure via the deterministic scheduler otherwise (taking the
-/// free run from `free_runs`, the program's table, when non-null). One
+/// non-null, measure via the deterministic scheduler otherwise. One
 /// function so no fan-out path can drift from the serial measurement.
 EvalRecord cached_measure(EvalCache* cache, const std::string& key,
                           const sched::ContextScheduler& scheduler,
                           const sched::PlacedProgram& program,
-                          const arch::Architecture& architecture,
-                          sched::FreeRunTable* free_runs = nullptr);
+                          const arch::Architecture& architecture);
 
 /// The parallel steps 1–4: bit-identical to dse::Explorer::prepare on the
 /// same domain. Step 1 runs one task per kernel (through `mapping_cache`
@@ -92,8 +90,8 @@ dse::PreparedExploration prepare_parallel(
 
 /// The parallel step 5: exact-evaluates every Pareto survivor in `result`
 /// across `pool`, one task per (survivor, kernel), memoized through
-/// `cache` when non-null and sharing one free-run table per kernel across
-/// the call. `programs`/`kernel_names` come from dse::Explorer::prepare.
+/// `cache` when non-null. `programs`/`kernel_names` come from
+/// dse::Explorer::prepare.
 /// This is the exact fan-out ParallelExplorer runs; it is exposed so
 /// benches measure the production code path.
 void evaluate_pareto_exact(

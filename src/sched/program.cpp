@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <numeric>
+#include <string_view>
 
 #include "util/error.hpp"
+#include "util/hash.hpp"
 
 namespace rsp::sched {
 
@@ -35,7 +37,7 @@ ProgIndex PlacedProgram::add(ProgramOp op) {
     source_index_[static_cast<std::size_t>(op.source)] = idx;
   }
   ops_.push_back(std::move(op));
-  order_.slot.store(nullptr);
+  derived_.slot.store(nullptr);
   return idx;
 }
 
@@ -79,26 +81,68 @@ void PlacedProgram::validate() const {
   }
 }
 
-const std::vector<ProgIndex>& PlacedProgram::priority_order() const {
-  std::shared_ptr<const std::vector<ProgIndex>> order = order_.slot.load();
-  if (!order) {
-    validate();
-    auto fresh = std::make_shared<std::vector<ProgIndex>>(ops_.size());
-    std::iota(fresh->begin(), fresh->end(), 0);
-    std::stable_sort(fresh->begin(), fresh->end(),
-                     [this](ProgIndex a, ProgIndex b) {
-                       return ops_[static_cast<std::size_t>(a)].priority <
-                              ops_[static_cast<std::size_t>(b)].priority;
-                     });
-    // A racing first call may have filled the slot meanwhile: keep the
-    // winner, so a filled slot never changes and the reference returned
-    // below stays valid until the program is next mutated.
-    order = std::move(fresh);
-    std::shared_ptr<const std::vector<ProgIndex>> expected;
-    if (!order_.slot.compare_exchange_strong(expected, order))
-      order = std::move(expected);
+PlacedProgram::Derived::Derived() {
+  for (std::atomic<int>& length : free_runs) length.store(-1);
+}
+
+const PlacedProgram::Derived& PlacedProgram::derived() const {
+  std::shared_ptr<const Derived> cached = derived_.slot.load();
+  if (cached) return *cached;
+  validate();
+  auto fresh = std::make_shared<Derived>();
+  fresh->order.resize(ops_.size());
+  std::iota(fresh->order.begin(), fresh->order.end(), 0);
+  std::stable_sort(fresh->order.begin(), fresh->order.end(),
+                   [this](ProgIndex a, ProgIndex b) {
+                     return ops_[static_cast<std::size_t>(a)].priority <
+                            ops_[static_cast<std::size_t>(b)].priority;
+                   });
+  std::uint64_t h = util::kFnvOffsetBasis;
+  const auto mix = [&h](std::int64_t v) {
+    h = util::fnv1a(
+        std::string_view(reinterpret_cast<const char*>(&v), sizeof v), h);
+  };
+  for (const ProgramOp& op : ops_) {
+    mix(static_cast<std::int64_t>(op.kind));
+    mix(op.pe.row);
+    mix(op.pe.col);
+    mix(op.priority);
+    mix(op.imm);
+    mix(op.address);
+    mix(op.not_before);
+    // Variable-length sections are length-prefixed so, e.g., an operand
+    // list {5, 0} and an order_deps list [5, 0] cannot alias.
+    mix(static_cast<std::int64_t>(op.array.size()));
+    h = util::fnv1a(op.array, h);
+    mix(static_cast<std::int64_t>(op.operands.size()));
+    for (const ProgOperand& operand : op.operands) {
+      mix(operand.producer);
+      mix(operand.imm);
+    }
+    mix(static_cast<std::int64_t>(op.order_deps.size()));
+    for (const ProgIndex dep : op.order_deps) mix(dep);
   }
-  return *order;
+  fresh->fingerprint = h;
+  // A racing first call may have filled the slot meanwhile: keep the
+  // winner, so a filled slot never changes and the reference returned
+  // below stays valid until the program is next mutated.
+  cached = std::move(fresh);
+  std::shared_ptr<const Derived> expected;
+  if (!derived_.slot.compare_exchange_strong(expected, cached))
+    cached = std::move(expected);
+  return *cached;
+}
+
+const std::vector<ProgIndex>& PlacedProgram::priority_order() const {
+  return derived().order;
+}
+
+std::uint64_t PlacedProgram::fingerprint() const {
+  return derived().fingerprint;
+}
+
+std::atomic<int>& PlacedProgram::free_run_memo(int latency) const {
+  return derived().free_runs.at(static_cast<std::size_t>(latency - 1));
 }
 
 std::int64_t PlacedProgram::count(ir::OpKind kind) const {

@@ -9,6 +9,7 @@
 // base context and its RS/RSP rearrangements.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -16,6 +17,7 @@
 #include <vector>
 
 #include "arch/array.hpp"
+#include "arch/sharing.hpp"
 #include "ir/unroll.hpp"
 
 namespace rsp::sched {
@@ -80,12 +82,28 @@ class PlacedProgram {
   /// of every producer→consumer edge, priorities monotone along edges.
   void validate() const;
 
+  /// What the scheduler derives from the program alone is computed once per
+  /// program, on first use, and cached: the first call to any of the three
+  /// accessors below runs validate() — throwing what it throws, and caching
+  /// nothing — so a program scheduled on many architectures is validated,
+  /// sorted and hashed once. Copies share the cache; add() clears it. Safe
+  /// to call from many threads at once.
+
   /// The order the scheduler places ops in: ascending priority, ties by
-  /// index. The first call runs validate() — throwing what it throws, and
-  /// caching nothing — then caches the order, so a program scheduled on
-  /// many architectures is validated and sorted once. Copies share the
-  /// cache; add() clears it. Safe to call from many threads at once.
+  /// index.
   const std::vector<ProgIndex>& priority_order() const;
+
+  /// Hash of every op field the scheduler reads (runtime::EvalCache's
+  /// program tag). Byte-view hashing is endianness-dependent, which is fine
+  /// for in-memory memo keys: they only need to be stable within a process.
+  std::uint64_t fingerprint() const;
+
+  /// The program's memo of its free-run length at multiplier latency
+  /// `latency` (1..arch::kMaxPipelineStages): its schedule length on
+  /// sched::unlimited_units(a) for every valid `a` of that latency, -1
+  /// until sched::measure first fills it (see unlimited_units for why the
+  /// latency is the only key).
+  std::atomic<int>& free_run_memo(int latency) const;
 
   /// Number of mult ops (for quick sanity checks).
   std::int64_t count(ir::OpKind kind) const;
@@ -95,25 +113,34 @@ class PlacedProgram {
   std::vector<ProgramOp> ops_;
   std::vector<ProgIndex> source_index_;  // unrolled OpId -> program index
 
+  struct Derived {
+    Derived();
+    std::vector<ProgIndex> order;
+    std::uint64_t fingerprint = 0;
+    /// Free-run lengths by multiplier latency - 1; -1 = not yet measured.
+    mutable std::array<std::atomic<int>, arch::kMaxPipelineStages> free_runs;
+  };
+  const Derived& derived() const;
+
   /// An atomic slot that copies share (a move takes it along): once filled
-  /// it holds the same immutable order until add() empties it.
-  class OrderCache {
+  /// it holds the same Derived until add() empties it.
+  class DerivedSlot {
    public:
-    OrderCache() = default;
-    OrderCache(const OrderCache& other) : slot(other.slot.load()) {}
-    OrderCache(OrderCache&& other) noexcept
+    DerivedSlot() = default;
+    DerivedSlot(const DerivedSlot& other) : slot(other.slot.load()) {}
+    DerivedSlot(DerivedSlot&& other) noexcept
         : slot(other.slot.exchange(nullptr)) {}
-    OrderCache& operator=(const OrderCache& other) {
+    DerivedSlot& operator=(const DerivedSlot& other) {
       slot.store(other.slot.load());
       return *this;
     }
-    OrderCache& operator=(OrderCache&& other) noexcept {
+    DerivedSlot& operator=(DerivedSlot&& other) noexcept {
       slot.store(other.slot.exchange(nullptr));
       return *this;
     }
-    std::atomic<std::shared_ptr<const std::vector<ProgIndex>>> slot;
+    std::atomic<std::shared_ptr<const Derived>> slot;
   };
-  mutable OrderCache order_;
+  mutable DerivedSlot derived_;
 };
 
 }  // namespace rsp::sched

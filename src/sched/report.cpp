@@ -13,28 +13,9 @@ ScheduleStats stats_of(const ConfigurationContext& context) {
   return s;
 }
 
-FreeRunTable::FreeRunTable() {
-  for (std::atomic<int>& length : lengths_) length.store(-1);
-}
-
-int FreeRunTable::length(const ContextScheduler& scheduler,
-                         const PlacedProgram& program,
-                         const arch::Architecture& architecture) {
-  std::atomic<int>& slot =
-      lengths_.at(static_cast<std::size_t>(architecture.mult_latency() - 1));
-  int length = slot.load(std::memory_order_relaxed);
-  if (length < 0) {
-    length = scheduler.schedule_length(program, unlimited_units(architecture))
-                 .length;
-    slot.store(length, std::memory_order_relaxed);
-  }
-  return length;
-}
-
 PerfPoint perf_point(int cycles, const ContextScheduler& scheduler,
                      const PlacedProgram& program,
-                     const arch::Architecture& architecture,
-                     FreeRunTable* free_runs) {
+                     const arch::Architecture& architecture) {
   PerfPoint p;
   p.cycles = cycles;
   if (!architecture.shares_multiplier()) {
@@ -42,19 +23,24 @@ PerfPoint perf_point(int cycles, const ContextScheduler& scheduler,
     p.stalls = 0;
     return p;
   }
-  FreeRunTable once;
-  p.nostall_cycles = (free_runs != nullptr ? *free_runs : once)
-                         .length(scheduler, program, architecture);
+  // Racing first uses compute and store the same value.
+  std::atomic<int>& memo = program.free_run_memo(architecture.mult_latency());
+  p.nostall_cycles = memo.load(std::memory_order_relaxed);
+  if (p.nostall_cycles < 0) {
+    p.nostall_cycles =
+        scheduler.schedule_length(program, unlimited_units(architecture))
+            .length;
+    memo.store(p.nostall_cycles, std::memory_order_relaxed);
+  }
   p.stalls = p.cycles - p.nostall_cycles;
   return p;
 }
 
 PerfPoint measure(const ContextScheduler& scheduler,
                   const PlacedProgram& program,
-                  const arch::Architecture& architecture,
-                  FreeRunTable* free_runs) {
+                  const arch::Architecture& architecture) {
   return perf_point(scheduler.schedule_length(program, architecture).length,
-                    scheduler, program, architecture, free_runs);
+                    scheduler, program, architecture);
 }
 
 }  // namespace rsp::sched

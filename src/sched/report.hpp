@@ -1,8 +1,6 @@
 // Schedule statistics: lengths, stalls and multiplier pressure.
 #pragma once
 
-#include <array>
-#include <atomic>
 #include <vector>
 
 #include "sched/context.hpp"
@@ -34,39 +32,20 @@ struct PerfPoint {
   int nostall_cycles = 0;  ///< schedule length with unlimited units
 };
 
-/// One program's free-run lengths — its schedule lengths on
-/// unlimited_units(a) — one slot per multiplier latency, each filled on
+/// The PerfPoint of a pair whose real schedule on `architecture` already
+/// ran and is `cycles` long. When the multiplier is shared, the free run —
+/// the schedule length on unlimited_units(architecture) — comes from the
+/// program's memo for architecture.mult_latency(), measured length-only on
 /// first use. Unlimited units never stall an issue (see unlimited_units),
-/// so the free run depends only on the program and a.mult_latency(), never
-/// on a's unit counts: every design point with the same pipeline depth
-/// shares one free run. A step-5 driver keeps one table per kernel for the
-/// length of one run and passes it with that kernel's program only.
-/// Thread-safe: racing first uses compute and store the same value.
-class FreeRunTable {
- public:
-  FreeRunTable();
-
-  /// The free-run length of `program` at `architecture`'s multiplier
-  /// latency; `architecture` must share its multiplier and be valid.
-  int length(const ContextScheduler& scheduler, const PlacedProgram& program,
-             const arch::Architecture& architecture);
-
- private:
-  std::array<std::atomic<int>, arch::kMaxPipelineStages> lengths_;  // -1 = unset
-};
-
-/// The PerfPoint of a pair whose real schedule is `cycles` long: its free
-/// run comes from `free_runs` when non-null, from a length-only schedule
-/// otherwise.
+/// so the free run depends only on the program and the latency, never on
+/// the unit counts: every design point of one pipeline depth shares it.
 PerfPoint perf_point(int cycles, const ContextScheduler& scheduler,
                      const PlacedProgram& program,
-                     const arch::Architecture& architecture,
-                     FreeRunTable* free_runs = nullptr);
+                     const arch::Architecture& architecture);
 
-/// Measures a pair with length-only schedules (see perf_point).
+/// Measures a pair with a length-only schedule (see perf_point).
 PerfPoint measure(const ContextScheduler& scheduler,
                   const PlacedProgram& program,
-                  const arch::Architecture& architecture,
-                  FreeRunTable* free_runs = nullptr);
+                  const arch::Architecture& architecture);
 
 }  // namespace rsp::sched

@@ -72,8 +72,8 @@ class ContextScheduler {
 /// per cycle (one per PE) and its pool holds `cols` units that every PE of
 /// the row reaches. A program's schedule on it therefore depends only on
 /// the program and mult_latency() — not on the real unit counts — which is
-/// what lets step 5 memoize free runs per (kernel, latency)
-/// (sched::FreeRunTable).
+/// what lets each program memoize its free runs per latency
+/// (PlacedProgram::free_run_memo, filled by sched::perf_point).
 arch::Architecture unlimited_units(const arch::Architecture& a);
 
 }  // namespace rsp::sched

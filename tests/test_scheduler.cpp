@@ -350,23 +350,20 @@ TEST(Scheduler, FreeRunDependsOnlyOnLatency) {
   std::size_t shared_survivors = 0;
   for (const SurvivorSet& set : generated_survivor_sets()) {
     for (std::size_t k = 0; k < set.programs.size(); ++k) {
-      // One table per kernel across every survivor, as step 5 keeps it:
-      // the first survivor of each pipeline depth fills the slot that the
-      // later ones, with other unit counts, read back.
-      FreeRunTable free_runs;
+      // The program's memo keeps one free run per pipeline depth: the
+      // first survivor of each depth fills the slot that the later ones,
+      // with other unit counts, read back.
+      const PlacedProgram& program = set.programs[k];
       for (const arch::Architecture& a : set.survivors) {
         if (!a.shares_multiplier()) continue;
         ++shared_survivors;
-        const int expected =
-            s.schedule(set.programs[k], unlimited_units(a)).length();
-        EXPECT_EQ(free_runs.length(s, set.programs[k], a), expected)
+        const int expected = s.schedule(program, unlimited_units(a)).length();
+        const PerfPoint p = measure(s, program, a);
+        EXPECT_EQ(p.nostall_cycles, expected)
             << set.names[k] << " on " << a.name;
-        const PerfPoint direct = measure(s, set.programs[k], a);
-        const PerfPoint memoized =
-            measure(s, set.programs[k], a, &free_runs);
-        EXPECT_EQ(memoized.cycles, direct.cycles);
-        EXPECT_EQ(memoized.stalls, direct.stalls);
-        EXPECT_EQ(memoized.nostall_cycles, direct.nostall_cycles);
+        EXPECT_EQ(p.cycles, s.schedule(program, a).length());
+        EXPECT_EQ(p.stalls, p.cycles - expected);
+        EXPECT_EQ(program.free_run_memo(a.mult_latency()).load(), expected);
       }
     }
   }
@@ -401,6 +398,7 @@ TEST(Scheduler, ValidatedOnceStillRejectsBadProgram) {
     EXPECT_THROW(s.schedule(bad, base), InvalidArgumentError) << call;
     EXPECT_THROW(s.schedule_length(bad, rs), InvalidArgumentError) << call;
     EXPECT_THROW(measure(s, bad, rs), InvalidArgumentError) << call;
+    EXPECT_THROW(bad.fingerprint(), InvalidArgumentError) << call;
   }
 
   // A valid program caches its order; a copy shares it until add(), which
@@ -411,6 +409,11 @@ TEST(Scheduler, ValidatedOnceStillRejectsBadProgram) {
   EXPECT_EQ(s.schedule(good, base).length(), 2);
   PlacedProgram copy = good;
   EXPECT_EQ(&copy.priority_order(), &good.priority_order());
+  EXPECT_EQ(&copy.free_run_memo(2), &good.free_run_memo(2));
+  PlacedProgram grown = good;
+  grown.add(add_one(g, 2));
+  EXPECT_NE(grown.fingerprint(), good.fingerprint());
+  EXPECT_NE(&grown.free_run_memo(2), &good.free_run_memo(2));
   copy.add(add_one(g, 0));
   EXPECT_THROW(s.schedule(copy, base), InvalidArgumentError);
   EXPECT_THROW(measure(s, copy, rs), InvalidArgumentError);
